@@ -15,6 +15,7 @@ from .core import (
     SelectionResult,
     SingularMatrixError,
     TrainingError,
+    UsageError,
     class_prior,
     make_grid,
 )

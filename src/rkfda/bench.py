@@ -10,7 +10,8 @@ them.  A run whose training fails (e.g. a single-class sample or a singular
 covariance) is recorded as failed for that method and excluded from the
 averages.
 
-``RKFDA_THREADS`` caps the worker pool size.
+``RKFDA_THREADS`` caps the worker pool size; a value that is not an integer
+raises UsageError.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import centroid_classifiers, error_rate, train_knn, train_rkc
-from .core import Grid, SingularMatrixError, TrainingError
+from .core import Grid, SingularMatrixError, TrainingError, UsageError
 from .kernels import BrownianKernel
 from .select import SelectionConfig, greedy_select, oracle_source_from_dataset
 from .simulate import ModelSpec, builtin_catalog, gen_model_dataset, standard_grid
@@ -99,7 +100,10 @@ def _model_entropy(model_id: str) -> int:
 
 def _worker_count(plan: ExperimentPlan) -> int:
     env = os.environ.get("RKFDA_THREADS")
-    cap = int(env) if env else None
+    try:
+        cap = int(env) if env else None
+    except ValueError:
+        raise UsageError(f"RKFDA_THREADS must be an integer, got {env!r}") from None
     requested = plan.workers if plan.workers is not None else (cap or 1)
     if cap is not None:
         requested = min(requested, cap)

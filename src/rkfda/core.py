@@ -16,6 +16,7 @@ __all__ = [
     "SingularMatrixError",
     "TrainingError",
     "DatasetFormatError",
+    "UsageError",
     "Grid",
     "make_grid",
     "LabeledDataset",
@@ -41,6 +42,10 @@ class TrainingError(RkfdaError):
 
 class DatasetFormatError(RkfdaError):
     """A dataset / plan / model file violates its documented format."""
+
+
+class UsageError(RkfdaError, ValueError):
+    """An invocation setting (e.g. an environment variable) is malformed."""
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:

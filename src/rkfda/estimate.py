@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Grid, LabeledDataset, _frozen_array
 
-__all__ = ["ClassMoments", "class_moments", "pooled_cov"]
+__all__ = ["ClassMoments", "class_moments", "pooled_cov", "centred_curves"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,3 +76,19 @@ def pooled_cov(dataset: LabeledDataset, points=None) -> np.ndarray:
         xc = x - x.mean(axis=0)
         cov += xc.T @ xc / n
     return (cov + cov.T) / 2.0
+
+
+def centred_curves(dataset: LabeledDataset) -> np.ndarray:
+    """Class-centred curves Z, scaled so that ``Z.T @ Z`` is the pooled covariance.
+
+    Row l of class r is (X_rl - Xbar_r) / sqrt(n_r), so one pooled covariance
+    column costs O(n * G) without forming the G x G matrix.  Requires at
+    least two samples per class, like :func:`pooled_cov`.
+    """
+    moments = class_moments(dataset)
+    blocks = []
+    for label, mean, n in ((0, moments.m0, moments.n0), (1, moments.m1, moments.n1)):
+        if n < 2:
+            raise ValueError(f"class {label} needs at least 2 samples for covariance")
+        blocks.append((dataset.class_curves(label) - mean) / np.sqrt(n))
+    return np.vstack(blocks)

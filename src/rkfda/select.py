@@ -10,9 +10,19 @@ either the pooled sample covariance (empirical mode) or an analytic kernel
 Gram (oracle mode).  The first step reduces to maximizing the pointwise
 signal-to-noise ratio mhat(t)^2 / var_hat(t).
 
-Candidates whose covariance submatrix stays singular after ridge escalation
-are skipped, which keeps the scan alive near coincident or degenerate points
-(e.g. a pinned endpoint with zero variance).
+The scan scores every candidate at once with the forward-regression update
+(Chen, Billings & Luo 1989)
+
+    psi(S + {i}) = psi(S) + e_i^2 / s_i,
+
+where s_i = K_ii - k_iS K_SS^{-1} k_Si is the Schur complement of the chosen
+set S and e_i = m_i - k_iS K_SS^{-1} m_S the residual mean difference.  Both
+are kept up to date through one growing Cholesky factor of K_SS, so a step
+costs O(d * G) and reads a single covariance column.
+
+Degeneracy rule: a candidate is inadmissible while s_i <= 1e-12 * K_ii, that
+is when its variance is zero (e.g. a pinned endpoint) or it is numerically a
+linear combination of the chosen points (e.g. a duplicate of one of them).
 """
 
 from __future__ import annotations
@@ -21,8 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, LabeledDataset, SelectionResult, SingularMatrixError
-from .estimate import ClassMoments, class_moments, pooled_cov
+from .core import Grid, LabeledDataset, SelectionResult
+# pooled_cov is unused here but stays importable from this module, where
+# perfbench/tracing.py wraps it.
+from .estimate import ClassMoments, centred_curves, class_moments, pooled_cov  # noqa: F401
 from .kernels import DEFAULT_RIDGE, KernelSpec, RidgePolicy, gram, mahalanobis_psi
 
 __all__ = [
@@ -45,12 +57,13 @@ class SelectionConfig:
     distinct.  ``candidate_mask`` restricts the search to a subset of grid
     indices (useful to exclude degenerate endpoints).  The search stops at
     ``d_max`` points or when the best candidate improves the score by less
-    than ``rel_tol`` relative to its current level.
+    than ``rel_tol`` relative to its current level.  Candidates with
+    degenerate variance given the chosen points (Schur complement at most
+    ``DEGENERATE_RTOL`` times their own variance) are never selected.
     """
 
     d_max: int
     delta: float | None = None
-    ridge_policy: RidgePolicy = DEFAULT_RIDGE
     candidate_mask: np.ndarray | None = None
     rel_tol: float = 1e-10
 
@@ -104,13 +117,40 @@ def psi_hat(points, moments: ClassMoments, cov, policy: RidgePolicy = DEFAULT_RI
     return mahalanobis_psi(moments.diff_at(idx), cov, policy)
 
 
-def _materialize(source) -> tuple[Grid, np.ndarray, np.ndarray]:
-    """Full-grid mean difference and covariance for the greedy scan."""
+# A candidate is inadmissible while its Schur complement is at most this
+# fraction of its own variance.
+DEGENERATE_RTOL = 1e-12
+
+
+def _kernel_diag(kernel: KernelSpec, points: np.ndarray, block: int = 64) -> np.ndarray:
+    """K(t, t) at every point, read off small diagonal blocks of the Gram."""
+    chunks = np.array_split(points, -(-points.size // block))
+    return np.concatenate([np.diag(kernel.pairwise(c, c)) for c in chunks])
+
+
+def _scan_inputs(source):
+    """Grid, mean difference, variances and a covariance-column function.
+
+    Neither source forms the G x G covariance: the scan reads only the
+    columns of the points it picks.
+    """
     if isinstance(source, OracleSource):
-        return source.grid, source.mean_diff, gram(source.kernel, source.grid.points)
+        pts = source.grid.points
+        kernel = source.kernel
+        return (
+            source.grid,
+            source.mean_diff,
+            _kernel_diag(kernel, pts),
+            lambda j: kernel.pairwise(pts, pts[j : j + 1])[:, 0],
+        )
     if isinstance(source, LabeledDataset):
-        moments = class_moments(source)
-        return source.grid, moments.diff, pooled_cov(source)
+        z = centred_curves(source)
+        return (
+            source.grid,
+            class_moments(source).diff,
+            np.einsum("ij,ij->j", z, z),
+            lambda j: z.T @ z[:, j],
+        )
     raise TypeError("source must be a LabeledDataset or an OracleSource")
 
 
@@ -120,7 +160,7 @@ def greedy_select(source, config: SelectionConfig) -> SelectionResult:
     Ties in the score go to the smallest time.  Raises ValueError when no
     admissible candidate exists at the first step; later steps simply stop.
     """
-    grid, mean, cov = _materialize(source)
+    grid, mean, var, column = _scan_inputs(source)
     if config.candidate_mask is not None:
         candidates = np.asarray(config.candidate_mask, dtype=int)
         if candidates.size == 0 or candidates.min() < 0 or candidates.max() >= grid.count:
@@ -133,32 +173,40 @@ def greedy_select(source, config: SelectionConfig) -> SelectionResult:
         raise ValueError("delta must be at least one grid step")
     sep_tol = delta - 1e-12 * max(1.0, delta)
 
+    allowed = np.zeros(grid.count, dtype=bool)  # in the mask and delta-separated
+    allowed[candidates] = True
+    floor = DEGENERATE_RTOL * var
+    schur = var.copy()  # s_i
+    resid = np.array(mean, dtype=float)  # e_i
+    # rows[:k] = L^{-1} K[S, :], with L the lower Cholesky factor of K_SS, so
+    # rows[:k, S] = L^T and k_iS K_SS^{-1} k_Si = |rows[:k, i]|^2.
+    rows = np.empty((config.d_max, grid.count))
     chosen: list[int] = []
     trace: list[float] = []
-    prev_psi = 0.0
-    for step in range(config.d_max):
-        t_chosen = grid.points[chosen] if chosen else np.empty(0)
-        best_idx = -1
-        best_psi = -np.inf
-        for i in candidates:
-            if chosen and np.min(np.abs(grid.points[i] - t_chosen)) < sep_tol:
-                continue
-            idx = chosen + [i]
-            try:
-                psi = mahalanobis_psi(mean[idx], cov[np.ix_(idx, idx)], config.ridge_policy)
-            except SingularMatrixError:
-                continue
-            if psi > best_psi:
-                best_idx, best_psi = i, psi
-        if best_idx < 0:
-            if step == 0:
-                raise ValueError("no admissible candidate point at the first step")
-            break
-        if step > 0 and best_psi - prev_psi < config.rel_tol * max(prev_psi, 1.0):
-            break
-        chosen.append(best_idx)
-        trace.append(best_psi)
-        prev_psi = best_psi
+    psi = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(config.d_max):
+            admissible = allowed & (schur > floor)
+            if not admissible.any():
+                if step == 0:
+                    raise ValueError("no admissible candidate point at the first step")
+                break
+            gain = np.where(admissible, resid * resid / schur, -np.inf)
+            j = int(np.argmax(gain))
+            if step > 0 and gain[j] < config.rel_tol * max(psi, 1.0):
+                break
+            pivot = np.sqrt(schur[j])
+            v = rows[step]
+            v[:] = column(j)
+            v -= rows[:step].T @ rows[:step, j]
+            v /= pivot
+            w = resid[j] / pivot
+            resid -= w * v
+            schur -= v * v
+            psi += w * w
+            chosen.append(j)
+            trace.append(psi)
+            allowed &= np.abs(grid.points - grid.points[j]) >= sep_tol
     return SelectionResult(
         points=grid.points[chosen], indices=np.array(chosen, dtype=int), psi_trace=trace
     )

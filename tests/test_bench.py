@@ -95,6 +95,19 @@ def test_thread_cap_env(monkeypatch):
     assert _worker_count(ExperimentPlan(models=("G2",), sizes=(30,), runs=1)) == 1
 
 
+def test_non_integer_thread_cap_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    from rkfda.cli import USAGE_EXIT, main
+
+    plan = tmp_path / "plan.ini"
+    plan.write_text("[plan]\nmodels = G2\nsizes = 30\nruns = 1\n")
+    monkeypatch.setenv("RKFDA_THREADS", "two")
+    assert main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")]) == USAGE_EXIT
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines()[-1] == "error_code=usage-error"
+    assert "RKFDA_THREADS" in captured.err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_failed_runs_are_counted_not_fatal():
     # three samples can never give two per class, so linear training always fails
     catalog = {"SEP": _gauss_model("SEP", 12.0)}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rkfda import LabeledDataset, class_moments, make_grid, pooled_cov
+from rkfda.estimate import centred_curves
 from rkfda.kernels import BrownianKernel
 from rkfda.simulate import gen_process
 
@@ -136,3 +137,13 @@ def test_gen_process_matches_pooled_estimate_in_the_limit():
     np.testing.assert_allclose(
         pooled_cov(ds) / 2.0, np.minimum.outer(grid.points, grid.points), atol=0.02
     )
+
+
+def test_centred_curves_factor_the_pooled_covariance():
+    rng = np.random.default_rng(8)
+    ds = _dataset(rng.normal(size=(5, 7)), rng.normal(size=(9, 7)) + 1.0)
+    z = centred_curves(ds)
+    assert z.shape == (14, 7)
+    np.testing.assert_allclose(z.T @ z, pooled_cov(ds), rtol=1e-12, atol=1e-14)
+    with pytest.raises(ValueError):
+        centred_curves(_dataset([[0.0, 0.0]], [[1.0, 1.0], [2.0, 2.0]]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rkfda import (
+    BrownianBridgeKernel,
     BrownianKernel,
     LabeledDataset,
     OrnsteinUhlenbeckKernel,
@@ -12,9 +13,14 @@ from rkfda import (
     make_grid,
     oracle_gram_provider,
     oracle_source,
+    oracle_source_from_dataset,
     pooled_cov,
     psi_hat,
 )
+from rkfda.core import SelectionResult, SingularMatrixError
+from rkfda.kernels import gram, mahalanobis_psi
+from rkfda.select import OracleSource
+from rkfda.simulate import builtin_catalog, gen_model_dataset, standard_grid
 
 from test_kernels import TOY_KNOTS, TOY_MEAN_AT_KNOTS
 
@@ -168,3 +174,141 @@ def test_identical_classes_give_single_near_zero_step():
     result = greedy_select(ds, SelectionConfig(d_max=5))
     assert len(result) == 1
     assert result.psi_trace[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def _loop_select(source, config: SelectionConfig) -> SelectionResult:
+    """Reference greedy search: one ridged Cholesky solve per candidate per step.
+
+    This is the direct transcription of the forward psi maximization that the
+    incremental scan in ``greedy_select`` replaces; a candidate is skipped when
+    its covariance submatrix stays singular after ridge escalation.
+    """
+    if isinstance(source, OracleSource):
+        grid, mean, cov = source.grid, source.mean_diff, gram(source.kernel, source.grid.points)
+    else:
+        grid, mean, cov = source.grid, class_moments(source).diff, pooled_cov(source)
+    if config.candidate_mask is not None:
+        candidates = np.unique(np.asarray(config.candidate_mask, dtype=int))
+    else:
+        candidates = np.arange(grid.count)
+    delta = grid.spacing if config.delta is None else float(config.delta)
+    sep_tol = delta - 1e-12 * max(1.0, delta)
+
+    chosen: list[int] = []
+    trace: list[float] = []
+    prev_psi = 0.0
+    for step in range(config.d_max):
+        t_chosen = grid.points[chosen] if chosen else np.empty(0)
+        best_idx = -1
+        best_psi = -np.inf
+        for i in candidates:
+            if chosen and np.min(np.abs(grid.points[i] - t_chosen)) < sep_tol:
+                continue
+            idx = chosen + [i]
+            try:
+                psi = mahalanobis_psi(mean[idx], cov[np.ix_(idx, idx)])
+            except SingularMatrixError:
+                continue
+            if psi > best_psi:
+                best_idx, best_psi = i, psi
+        if best_idx < 0:
+            if step == 0:
+                raise ValueError("no admissible candidate point at the first step")
+            break
+        if step > 0 and best_psi - prev_psi < config.rel_tol * max(prev_psi, 1.0):
+            break
+        chosen.append(best_idx)
+        trace.append(best_psi)
+        prev_psi = best_psi
+    return SelectionResult(
+        points=grid.points[chosen], indices=np.array(chosen, dtype=int), psi_trace=trace
+    )
+
+
+def _assert_same_selection(source, config):
+    fast = greedy_select(source, config)
+    slow = _loop_select(source, config)
+    np.testing.assert_array_equal(fast.indices, slow.indices)
+    np.testing.assert_allclose(fast.psi_trace, slow.psi_trace, rtol=1e-6)
+
+
+# The bench's selection settings: d_max 10 with no early stop.
+_BENCH_CONFIG = SelectionConfig(d_max=10, rel_tol=0.0)
+
+
+@pytest.mark.parametrize("model_id", sorted(builtin_catalog()))
+def test_scan_matches_loop_on_catalog(model_id):
+    ds = gen_model_dataset(builtin_catalog()[model_id], 50, standard_grid(100), (21, 0))
+    _assert_same_selection(ds, _BENCH_CONFIG)
+    _assert_same_selection(oracle_source_from_dataset(ds, BrownianKernel()), _BENCH_CONFIG)
+
+
+@pytest.mark.parametrize("model_id", ["G4", "L1-B"])
+def test_scan_matches_loop_on_dense_grid(model_id):
+    ds = gen_model_dataset(builtin_catalog()[model_id], 200, standard_grid(1000), (22, 0))
+    _assert_same_selection(ds, _BENCH_CONFIG)
+
+
+def test_scan_matches_loop_with_mask_delta_and_early_stop():
+    ds = gen_model_dataset(builtin_catalog()["G4"], 50, standard_grid(100), (23, 0))
+    for config in (
+        SelectionConfig(d_max=6, delta=0.05, candidate_mask=np.arange(10, 90, 2)),
+        SelectionConfig(d_max=10, rel_tol=0.05),
+    ):
+        _assert_same_selection(ds, config)
+
+
+def test_score_ties_go_to_the_smallest_time():
+    # stationary covariance and a constant mean: every first-step score is 1
+    g = make_grid(6, 0, 1)
+    src = oracle_source(OrnsteinUhlenbeckKernel(), g, np.ones(g.count))
+    for mask in (None, np.array([4, 2, 5])):
+        config = SelectionConfig(d_max=1, candidate_mask=mask)
+        expected = 0 if mask is None else 2
+        assert greedy_select(src, config).indices.tolist() == [expected]
+        assert _loop_select(src, config).indices.tolist() == [expected]
+
+
+def test_pinned_bridge_endpoints_are_never_selected():
+    # K(t, t) = 0 at both ends of a Brownian bridge on [0, 1]
+    g = make_grid(21, 0, 1)
+    src = oracle_source(BrownianBridgeKernel(1.0), g, np.ones(g.count))
+    result = greedy_select(src, SelectionConfig(d_max=g.count, rel_tol=0.0))
+    assert len(result) == g.count - 2
+    assert 0.0 not in result.points and 1.0 not in result.points
+
+
+def test_constant_column_is_never_selected():
+    rng = np.random.default_rng(40)
+    g = standard_grid(12)
+    ds = _brownian_dataset(rng, 15, g, shift=g.points)
+    curves = ds.curves.copy()
+    curves[:, 5] = 2.0  # zero variance, zero mean difference
+    ds = LabeledDataset(grid=g, curves=curves, labels=ds.labels)
+    result = greedy_select(ds, SelectionConfig(d_max=g.count, rel_tol=0.0))
+    assert 5 not in result.indices
+    assert len(result) == g.count - 1
+
+
+def test_duplicate_column_is_skipped_after_its_twin():
+    rng = np.random.default_rng(41)
+    g = standard_grid(10)
+    ds = _brownian_dataset(rng, 20, g, shift=3 * g.points)
+    curves = ds.curves.copy()
+    curves[:, 7] = curves[:, 3]  # two identical data columns
+    ds = LabeledDataset(grid=g, curves=curves, labels=ds.labels)
+    result = greedy_select(ds, SelectionConfig(d_max=g.count, rel_tol=0.0))
+    assert len({3, 7} & set(result.indices.tolist())) == 1
+    assert len(result) == g.count - 1
+    assert np.all(np.diff(result.psi_trace) >= 0)
+
+
+def test_every_candidate_degenerate_raises_at_first_step():
+    g = make_grid(6, 0, 1)
+    curves = np.tile(np.arange(g.count) - 2.0, (8, 1))  # no variance anywhere
+    ds = LabeledDataset(grid=g, curves=curves, labels=np.array([0] * 4 + [1] * 4))
+    with pytest.raises(ValueError, match="first step"):
+        greedy_select(ds, SelectionConfig(d_max=3))
+    bridge = oracle_source(BrownianBridgeKernel(1.0), g, np.ones(g.count))
+    with pytest.raises(ValueError, match="first step"):
+        greedy_select(bridge, SelectionConfig(d_max=3, candidate_mask=np.array([0, g.count - 1])))
