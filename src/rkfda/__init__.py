@@ -23,7 +23,6 @@ from .kernels import (
     BrownianBridgeKernel,
     BrownianKernel,
     EigenSystem,
-    EmpiricalKernel,
     OrnsteinUhlenbeckKernel,
     RidgePolicy,
     discretized_eigen,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -80,7 +79,6 @@ class ReportEntry:
     sd_accuracy: float
     mean_param: float | None
     failed_runs: int
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -177,7 +175,6 @@ def run_experiment(plan: ExperimentPlan, catalog: dict | None = None) -> RunRepo
     for model_id in plan.models:
         model = catalog[model_id]
         for n in plan.sizes:
-            started = time.perf_counter()
             results = [None] * plan.runs
             if workers == 1:
                 for run_idx in range(plan.runs):
@@ -190,7 +187,6 @@ def run_experiment(plan: ExperimentPlan, catalog: dict | None = None) -> RunRepo
                     }
                     for future, run_idx in futures.items():
                         results[run_idx] = future.result()
-            elapsed = time.perf_counter() - started
             for method in plan.methods:
                 scored = [r[method] for r in results if r[method] is not None]
                 accs = np.array([s[0] for s in scored])
@@ -205,7 +201,6 @@ def run_experiment(plan: ExperimentPlan, catalog: dict | None = None) -> RunRepo
                         sd_accuracy=float(accs.std(ddof=1)) if len(scored) > 1 else 0.0,
                         mean_param=float(params.mean()) if scored else None,
                         failed_runs=plan.runs - len(scored),
-                        wall_time=elapsed,
                     )
                 )
     return RunReport(entries=tuple(entries))

@@ -23,19 +23,14 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+import scipy.linalg
 import scipy.spatial.distance
 
 from .core import Grid, LabeledDataset, SingularMatrixError, TrainingError, _frozen_array, class_prior
-from .estimate import class_moments, pooled_cov
-from .kernels import (
-    DEFAULT_RIDGE,
-    EmpiricalKernel,
-    KernelSpec,
-    RidgePolicy,
-    discretized_eigen,
-    gram,
-    solve_spd,
-)
+from .estimate import centred_curves, class_moments, pooled_cov
+# discretized_eigen is unused here but stays importable from this module,
+# where perfbench/tracing.py wraps it.
+from .kernels import DEFAULT_RIDGE, KernelSpec, RidgePolicy, discretized_eigen, gram, solve_spd  # noqa: F401
 
 __all__ = [
     "RKCClassifier",
@@ -126,6 +121,10 @@ class CentroidClassifier:
 
 TrainedClassifier = Union[RKCClassifier, KNNClassifier, CentroidClassifier]
 
+# The centroid fit treats the spectrum as empty when the class-centred curves
+# are this small relative to the raw curves: what is left is rounding noise.
+DEGENERATE_RTOL = 1e-12
+
 
 def train_rkc(
     dataset: LabeledDataset,
@@ -177,26 +176,46 @@ def train_knn(dataset: LabeledDataset, k: int) -> KNNClassifier:
 def centroid_classifiers(dataset: LabeledDataset, orders, clip: bool = False) -> list[CentroidClassifier]:
     """Centroid rules for several truncation orders sharing one eigensystem.
 
-    The eigensystem comes from the pooled sample covariance on the full grid;
-    orders must not exceed the part of the spectrum above 1e-10 of the top
-    eigenvalue.  With ``clip`` set, out-of-range orders are dropped instead
-    of raising.
+    The eigensystem is that of the pooled sample covariance on the full grid,
+    ``Z^T Z`` for the class-centred curves ``Z`` of
+    :func:`~rkfda.estimate.centred_curves`.  ``Z Z^T`` has the same nonzero
+    eigenvalues, so the smaller Gram is diagonalized: with fewer curves than
+    grid points (n < G) the n x n ``Z Z^T``, whose eigenvectors ``u_j`` map
+    back to eigenfunctions ``Z^T u_j / sqrt(w_j)`` for the requested orders
+    only; otherwise the G x G ``Z^T Z``.  Orders must not exceed the part of
+    the spectrum above 1e-10 of the top eigenvalue.  The spectrum is empty
+    when the classes have degenerate variance, ``||Z||_F <= 1e-12 ||X||_F``
+    for the raw curves X.  With ``clip`` set, out-of-range orders are dropped
+    instead of raising.
     """
+    orders = list(orders)
     moments = class_moments(dataset)
     if moments.n0 < 2 or moments.n1 < 2:
         raise ValueError("both classes need at least 2 samples")
     grid = dataset.grid
-    eigen = discretized_eigen(EmpiricalKernel(pooled_cov(dataset), grid), grid)
-    usable = int(np.sum(eigen.eigenvalues > 1e-10 * eigen.eigenvalues[0]))
-    out = []
     dt = grid.spacing
+    z = centred_curves(dataset)
+    thin = z.shape[0] < z.shape[1]
+    w, vecs = scipy.linalg.eigh((z @ z.T if thin else z.T @ z) * dt, check_finite=False)
+    w = np.clip(w[::-1], 0.0, None)
+    vecs = vecs[:, ::-1]
+    if np.linalg.norm(z) <= DEGENERATE_RTOL * np.linalg.norm(dataset.curves):
+        usable = 0
+    else:
+        usable = int(np.sum(w > 1e-10 * w[0]))
+    top = min(usable, max(orders, default=0))
+    if thin:
+        phi = vecs[:, :top].T @ z / np.sqrt(w[:top])[:, None]
+    else:
+        phi = vecs[:, :top].T / math.sqrt(dt)
+    out = []
     for r in orders:
         if not 1 <= r <= usable:
             if clip:
                 continue
             raise ValueError(f"truncation order {r} exceeds the usable spectrum ({usable})")
-        mu = eigen.eigenfunctions[:r] @ moments.diff * dt
-        psi_curve = (mu / eigen.eigenvalues[:r]) @ eigen.eigenfunctions[:r]
+        mu = phi[:r] @ moments.diff * dt
+        psi_curve = (mu / w[:r]) @ phi[:r]
         out.append(
             CentroidClassifier(
                 grid=grid,

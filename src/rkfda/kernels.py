@@ -7,10 +7,6 @@ this package:
     Brownian bridge on [0,T] K(s, t) = min(s, t) - s*t/T
     Ornstein-Uhlenbeck       K(s, t) = sigma2 * exp(-theta * |s - t|)
 
-``EmpiricalKernel`` wraps a covariance matrix estimated on a fixed grid, so
-covariance eigendecompositions of sample data go through the same code path
-as the analytic families.
-
 All solves against covariance matrices route through :func:`solve_spd`, which
 tries a plain Cholesky factorization first and escalates through a small,
 explicit ridge before declaring the matrix singular.  The ridge actually used
@@ -34,7 +30,6 @@ __all__ = [
     "BrownianKernel",
     "BrownianBridgeKernel",
     "OrnsteinUhlenbeckKernel",
-    "EmpiricalKernel",
     "KernelSpec",
     "kernel_eval",
     "gram",
@@ -80,30 +75,7 @@ class OrnsteinUhlenbeckKernel:
         return self.sigma2 * np.exp(-self.theta * np.abs(s[:, None] - t[None, :]))
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalKernel:
-    """Covariance matrix given on a fixed grid; queries must hit grid points."""
-
-    matrix: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        m = _frozen_array(self.matrix)
-        if m.shape != (self.grid.count, self.grid.count):
-            raise ValueError("matrix shape must match the grid")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
-            raise ValueError("empirical covariance must be symmetric")
-        object.__setattr__(self, "matrix", m)
-
-    def pairwise(self, s, t):
-        i = self.grid.indices_of(s)
-        j = self.grid.indices_of(t)
-        return self.matrix[np.ix_(i, j)]
-
-
-KernelSpec = Union[
-    BrownianKernel, BrownianBridgeKernel, OrnsteinUhlenbeckKernel, EmpiricalKernel
-]
+KernelSpec = Union[BrownianKernel, BrownianBridgeKernel, OrnsteinUhlenbeckKernel]
 
 
 def kernel_eval(spec: KernelSpec, s: float, t: float) -> float:

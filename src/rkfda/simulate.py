@@ -27,7 +27,6 @@ from importlib import resources
 from typing import Callable, Union
 
 import numpy as np
-import scipy.signal
 from scipy.special import expit
 
 from .core import DatasetFormatError, Grid, LabeledDataset, make_grid
@@ -230,6 +229,10 @@ def _process_sampler(spec: ProcessSpec, grid: Grid) -> Callable[[np.random.Gener
 
         return draw_bridge
     if isinstance(spec, OrnsteinUhlenbeckKernel):
+        # imported here: scipy.signal pulls in scipy.stats, most of the
+        # package's import time, and only this simulator needs it
+        import scipy.signal
+
         sigma = math.sqrt(spec.sigma2)
         rho = math.exp(-spec.theta * grid.spacing)
         innov = sigma * math.sqrt(1.0 - rho * rho)

@@ -1,7 +1,10 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from rkfda import (
+    Grid,
     LabeledDataset,
     RKCClassifier,
     TrainingError,
@@ -9,14 +12,16 @@ from rkfda import (
     class_moments,
     classify,
     classify_batch,
+    discretized_eigen,
     error_rate,
     make_grid,
+    pooled_cov,
     train_centroid,
     train_knn,
     train_rkc,
 )
-from rkfda.classify import centroid_classifiers
-from rkfda.simulate import builtin_catalog, gen_model_dataset
+from rkfda.classify import CentroidClassifier, centroid_classifiers
+from rkfda.simulate import builtin_catalog, gen_model_dataset, standard_grid
 
 
 def _dataset(curves0, curves1, grid=None, fixed_prior=None):
@@ -157,6 +162,132 @@ def test_centroid_rejects_excess_order():
     with pytest.raises(ValueError):
         train_centroid(ds, 9)
     assert centroid_classifiers(ds, range(1, 12), clip=True)
+
+
+@dataclass(frozen=True, eq=False)
+class _MatrixKernel:
+    """Covariance matrix given on a fixed grid, queried only at grid points."""
+
+    matrix: np.ndarray
+    grid: Grid
+
+    def pairwise(self, s, t):
+        i = np.searchsorted(self.grid.points, s)
+        j = np.searchsorted(self.grid.points, t)
+        return self.matrix[np.ix_(i, j)]
+
+
+def _reference_centroid_classifiers(dataset, orders):
+    """Centroid rules from the full G x G eigensolve of the pooled covariance.
+
+    The oracle for ``centroid_classifiers``: same usable-spectrum rule, with
+    out-of-range orders dropped as under ``clip``.
+    """
+    moments = class_moments(dataset)
+    grid = dataset.grid
+    dt = grid.spacing
+    eigen = discretized_eigen(_MatrixKernel(pooled_cov(dataset), grid), grid)
+    usable = int(np.sum(eigen.eigenvalues > 1e-10 * eigen.eigenvalues[0]))
+    out = []
+    for r in orders:
+        if not 1 <= r <= usable:
+            continue
+        mu = eigen.eigenfunctions[:r] @ moments.diff * dt
+        psi_curve = (mu / eigen.eigenvalues[:r]) @ eigen.eigenfunctions[:r]
+        out.append(
+            CentroidClassifier(
+                grid=grid,
+                psi_curve=psi_curve,
+                proj0=float(moments.m0 @ psi_curve * dt),
+                proj1=float(moments.m1 @ psi_curve * dt),
+                order=r,
+            )
+        )
+    return out
+
+
+def _assert_matches_reference(train, validation, orders=range(1, 21)):
+    fast = centroid_classifiers(train, orders, clip=True)
+    slow = _reference_centroid_classifiers(train, orders)
+    assert [c.order for c in fast] == [c.order for c in slow]
+    for a, b in zip(fast, slow):
+        scale = np.abs(b.psi_curve).max()
+        np.testing.assert_allclose(a.psi_curve, b.psi_curve, rtol=0.0, atol=1e-4 * scale)
+        np.testing.assert_array_equal(a.decide(validation.curves), b.decide(validation.curves))
+    return fast
+
+
+def _rows(ds, start, stop):
+    return LabeledDataset(
+        grid=ds.grid,
+        curves=ds.curves[start:stop],
+        labels=ds.labels[start:stop],
+        fixed_prior=ds.fixed_prior,
+    )
+
+
+def test_centroid_matches_full_eigensolve_on_catalog():
+    # n = 50 < G = 100 takes the n x n Gram, n = 200 >= G the G x G one; a
+    # sample's first rows are the smaller sample with the same seed
+    grid = standard_grid(100)
+    for model in builtin_catalog().values():
+        ds = gen_model_dataset(model, 250, grid, 31)
+        validation = _rows(ds, 200, 250)
+        for n in (50, 200):
+            _assert_matches_reference(_rows(ds, 0, n), validation)
+
+
+@pytest.mark.parametrize("model_id", ["G4", "L1-B"])
+def test_centroid_matches_full_eigensolve_on_dense_grid(model_id):
+    model = builtin_catalog()[model_id]
+    grid = standard_grid(1000)
+    train = gen_model_dataset(model, 200, grid, 32)
+    validation = gen_model_dataset(model, 100, grid, 33)
+    assert len(_assert_matches_reference(train, validation)) == 20
+
+
+def test_centroid_matches_full_eigensolve_at_rank_boundary():
+    rng = np.random.default_rng(12)
+    g = make_grid(10, 0, 1)
+    ds = _dataset(rng.normal(size=(4, 10)), rng.normal(size=(4, 10)), grid=g)
+    validation = _dataset(rng.normal(size=(20, 10)), rng.normal(size=(20, 10)), grid=g)
+    assert len(_assert_matches_reference(ds, validation, range(1, 12))) == 6
+
+
+@pytest.mark.parametrize("count", [10, 4])
+def test_centroid_flat_spectrum_for_orthogonal_centred_curves(count):
+    # curves m_r +- s q_k for orthonormal q_1..q_4: the pooled covariance is
+    # (s^2 / 2) sum_k q_k q_k^T, flat on a rank-4 subspace (n = 8 < G = 10
+    # takes the n x n Gram, G = 4 the G x G one)
+    rng = np.random.default_rng(21)
+    g = make_grid(count, 0, 1)
+    q = np.linalg.qr(rng.normal(size=(count, 4)))[0].T
+    s = 3.0
+    m0, m1 = rng.normal(size=(2, count))
+    x0 = m0 + s * np.array([q[0], -q[0], q[1], -q[1]])
+    x1 = m1 + s * np.array([q[2], -q[2], q[3], -q[3]])
+    ds = _dataset(x0, x1, grid=g)
+    built = centroid_classifiers(ds, range(1, count + 1), clip=True)
+    assert [c.order for c in built] == [1, 2, 3, 4]
+    with pytest.raises(ValueError, match=r"usable spectrum \(4\)"):
+        train_centroid(ds, 5)
+    # with every eigenvalue equal to s^2 / 2, the full-order contrast is the
+    # mean difference projected onto span(q) over that eigenvalue
+    diff = class_moments(ds).diff
+    expected = q.T @ (q @ diff) / (s**2 / 2 * g.spacing)
+    np.testing.assert_allclose(built[-1].psi_curve, expected, rtol=1e-10, atol=1e-12 * np.abs(expected).max())
+
+
+def test_centroid_degenerate_variance_has_empty_spectrum():
+    # identical curves within each class: the centred curves are rounding
+    # noise, which must not pass for a spectrum
+    rng = np.random.default_rng(4)
+    g = make_grid(10, 0, 1)
+    a, b = rng.normal(size=(2, 10))
+    ds = _dataset(np.tile(a, (3, 1)), np.tile(b, (5, 1)), grid=g)
+    assert centroid_classifiers(ds, range(1, 5), clip=True) == []
+    with pytest.raises(ValueError, match=r"usable spectrum \(0\)"):
+        train_centroid(ds, 1)
 
 
 def test_centroid_toy_desk_scale():

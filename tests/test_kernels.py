@@ -6,7 +6,6 @@ import pytest
 from rkfda import (
     BrownianBridgeKernel,
     BrownianKernel,
-    EmpiricalKernel,
     OrnsteinUhlenbeckKernel,
     SingularMatrixError,
     discretized_eigen,
@@ -56,14 +55,6 @@ def test_gram_ou_entries():
 def test_gram_rejects_duplicates():
     with pytest.raises(ValueError):
         gram(BrownianKernel(), [0.5, 0.5])
-
-
-def test_empirical_kernel_rejects_off_grid():
-    g = make_grid(3, 0, 1)
-    spec = EmpiricalKernel(matrix=np.eye(3), grid=g)
-    assert kernel_eval(spec, 0.5, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        kernel_eval(spec, 0.3, 1.0)
 
 
 def test_solve_spd_identity():
@@ -158,12 +149,6 @@ def test_discretized_eigen_orthonormality():
     eigen = discretized_eigen(BrownianKernel(), g)
     inner = eigen.eigenfunctions @ eigen.eigenfunctions.T * g.spacing
     np.testing.assert_allclose(inner, np.eye(g.count), atol=1e-6)
-
-
-def test_discretized_eigen_flat_spectrum_for_isotropic_matrix():
-    g = make_grid(10, 0, 1)
-    eigen = discretized_eigen(EmpiricalKernel(matrix=np.eye(10), grid=g), g)
-    assert np.ptp(eigen.eigenvalues) <= 1e-12 * eigen.eigenvalues[0]
 
 
 def test_truncated_reconstruction_converges_to_gram():
