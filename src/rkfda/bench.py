@@ -6,9 +6,13 @@ fits every requested method on the training sample, fixes its hyperparameter
 with ties going to the smallest value, and scores the winner on the test
 sample.  Runs are independent tasks; results are keyed by run index before
 aggregation, so reports are identical no matter how many workers execute
-them.  A run whose training fails (e.g. a single-class sample or a singular
-covariance) is recorded as failed for that method and excluded from the
-averages.
+them.  kNN validation scores the whole k grid from one distance matrix
+between the validation and training curves (``classify.knn_decisions``)
+and fits only the chosen k; the earliest k in the grid wins ties, as in
+``_validated``.  A run whose training fails (``TrainingError``, e.g. a
+class with fewer than two curves, or ``SingularMatrixError``) is recorded as
+failed for that method and excluded from the averages; any other exception
+is a fault and propagates.
 
 ``RKFDA_THREADS`` caps the worker pool size; a value that is not an integer
 raises UsageError.
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import centroid_classifiers, error_rate, train_knn, train_rkc
+from .classify import centroid_classifiers, error_rate, knn_decisions, train_knn, train_rkc
 from .core import Grid, SingularMatrixError, TrainingError, UsageError
 from .kernels import BrownianKernel
 from .select import SelectionConfig, greedy_select, oracle_source_from_dataset
@@ -67,6 +71,10 @@ class ExperimentPlan:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if self.d_max < 1 or self.centroid_r_max < 1:
+            raise ValueError("d_max and centroid_r_max must be at least 1")
+        if not self.k_grid or min(self.k_grid) < 1:
+            raise ValueError("k_grid must hold at least one k, each at least 1")
 
 
 @dataclass(frozen=True)
@@ -121,6 +129,12 @@ def _validated(candidates, fit, val) -> tuple:
     return best[1], best[2]
 
 
+def _knn_accuracies(train, val, ks) -> np.ndarray:
+    """Validation accuracy of the kNN vote for every k in ``ks``, from one distance matrix."""
+    decisions = knn_decisions(train.grid, train.curves, train.labels, val.curves, ks)
+    return 1.0 - np.mean(decisions != val.labels, axis=1)
+
+
 def _apply_method(method: str, train, val, test, plan: ExperimentPlan):
     if method in ("RK-C", "RK_B-C"):
         config = SelectionConfig(d_max=plan.d_max, rel_tol=0.0)
@@ -137,8 +151,11 @@ def _apply_method(method: str, train, val, test, plan: ExperimentPlan):
         return 1.0 - error_rate(clf, test), float(d)
     if method == "kNN":
         ks = [k for k in plan.k_grid if k <= train.size]
-        k, clf = _validated(ks, lambda k: train_knn(train, k), val)
-        return 1.0 - error_rate(clf, test), float(k)
+        if not ks:
+            raise TrainingError("no admissible hyperparameter value")
+        # first maximum, so ties go to the earliest k, as in _validated
+        k = ks[int(np.argmax(_knn_accuracies(train, val, ks)))]
+        return 1.0 - error_rate(train_knn(train, k), test), float(k)
     if method == "Centroid":
         built = centroid_classifiers(train, range(1, plan.centroid_r_max + 1), clip=True)
         if not built:
@@ -158,7 +175,7 @@ def _one_run(model: ModelSpec, n: int, run_idx: int, plan: ExperimentPlan, grid:
     for method in plan.methods:
         try:
             out[method] = _apply_method(method, train, val, test, plan)
-        except (TrainingError, SingularMatrixError, ValueError):
+        except (TrainingError, SingularMatrixError):
             out[method] = None
     return out
 

@@ -8,7 +8,10 @@ pooled covariance and estimated mean difference; its score is
 
 and coincides with the optimal discriminant when the true mean difference is
 a finite kernel expansion at those points.  ``KNNClassifier`` votes among the
-k nearest training curves in the quadrature-scaled Euclidean metric.
+k nearest training curves in the quadrature-scaled Euclidean metric; an
+exact distance tie at the k-th place goes to the smaller training index, and
+:func:`knn_decisions` gives the votes of a whole k grid from one distance
+matrix.
 ``CentroidClassifier`` projects a curve onto a truncated eigenbasis contrast
 and assigns the class whose projected centroid is closer.
 
@@ -39,6 +42,7 @@ __all__ = [
     "TrainedClassifier",
     "train_rkc",
     "train_knn",
+    "knn_decisions",
     "train_centroid",
     "centroid_classifiers",
     "classify",
@@ -76,7 +80,12 @@ class RKCClassifier:
 
 @dataclass(frozen=True, eq=False)
 class KNNClassifier:
-    """k-nearest-neighbour vote in the sqrt(dt)-scaled Euclidean metric."""
+    """k-nearest-neighbour vote in the sqrt(dt)-scaled Euclidean metric.
+
+    Neighbours rank by (distance, training index): an exact distance tie at
+    the k-th place goes to the training curve with the smaller index.  A
+    tied vote (even k) goes to label 0.  See :func:`knn_decisions`.
+    """
 
     grid: Grid
     train_curves: np.ndarray
@@ -91,11 +100,7 @@ class KNNClassifier:
             raise ValueError("k must lie in [1, n]")
 
     def decide(self, curves: np.ndarray) -> np.ndarray:
-        scale = math.sqrt(self.grid.spacing)
-        dist = scipy.spatial.distance.cdist(curves * scale, self.train_curves * scale)
-        neighbours = np.argpartition(dist, self.k - 1, axis=1)[:, : self.k]
-        votes = self.train_labels[neighbours].sum(axis=1)
-        return (votes * 2 > self.k).astype(int)
+        return knn_decisions(self.grid, self.train_curves, self.train_labels, curves, [self.k])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +147,7 @@ def train_rkc(
     """
     moments = class_moments(dataset)
     if moments.n0 < 2 or moments.n1 < 2:
-        raise ValueError("both classes need at least 2 samples")
+        raise TrainingError("both classes need at least 2 samples")
     idx = dataset.grid.indices_of(points)
     if kernel is None:
         cov = pooled_cov(dataset, dataset.grid.points[idx])
@@ -164,10 +169,42 @@ def train_rkc(
     )
 
 
+def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndarray:
+    """kNN decisions for every k in ``ks`` from one distance matrix.
+
+    Returns an int array of shape ``(len(ks), len(curves))``; row i holds the
+    vote of the ``ks[i]`` nearest training curves, label 1 when more than
+    half of them are 1.  Distances are taken once, one partial sort keeps the
+    ``max(ks)`` nearest curves of each row, and a cumulative sum of their
+    labels in (distance, training index) order gives every vote.  Rows in
+    which further curves tie the ``max(ks)``-th distance are ranked in full,
+    so exact ties always go to the smaller training index.
+    """
+    ks = np.asarray(ks, dtype=int)
+    train_labels = np.asarray(train_labels)
+    n = train_labels.size
+    if ks.size == 0 or ks.min() < 1 or ks.max() > n:
+        raise ValueError("k must lie in [1, n]")
+    k_max = int(ks.max())
+    scale = math.sqrt(grid.spacing)
+    dist = scipy.spatial.distance.cdist(np.asarray(curves) * scale, np.asarray(train_curves) * scale)
+    nearest = np.argpartition(dist, k_max - 1, axis=1)[:, :k_max]
+    nearest.sort(axis=1)  # index order, so the stable sort below breaks ties by index
+    near_dist = np.take_along_axis(dist, nearest, axis=1)
+    # rows where the partition had to choose among curves tying its last distance
+    tied = np.flatnonzero(np.count_nonzero(dist <= near_dist.max(axis=1)[:, None], axis=1) > k_max)
+    if tied.size:
+        nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k_max]
+        near_dist[tied] = np.take_along_axis(dist[tied], nearest[tied], axis=1)
+    order = np.argsort(near_dist, axis=1, kind="stable")
+    cum = np.cumsum(train_labels[np.take_along_axis(nearest, order, axis=1)], axis=1)
+    return (cum[:, ks - 1].T * 2 > ks[:, None]).astype(int)
+
+
 def train_knn(dataset: LabeledDataset, k: int) -> KNNClassifier:
     """Memorize the training sample for k-nearest-neighbour voting; k odd avoids ties."""
     if dataset.class_curves(0).shape[0] == 0 or dataset.class_curves(1).shape[0] == 0:
-        raise ValueError("both classes must be present")
+        raise TrainingError("both classes must be present")
     return KNNClassifier(
         grid=dataset.grid, train_curves=dataset.curves, train_labels=dataset.labels, k=k
     )
@@ -191,7 +228,7 @@ def centroid_classifiers(dataset: LabeledDataset, orders, clip: bool = False) ->
     orders = list(orders)
     moments = class_moments(dataset)
     if moments.n0 < 2 or moments.n1 < 2:
-        raise ValueError("both classes need at least 2 samples")
+        raise TrainingError("both classes need at least 2 samples")
     grid = dataset.grid
     dt = grid.spacing
     z = centred_curves(dataset)

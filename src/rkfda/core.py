@@ -36,8 +36,12 @@ class SingularMatrixError(RkfdaError):
     """A covariance matrix stayed numerically singular after ridge escalation."""
 
 
-class TrainingError(RkfdaError):
-    """A classifier could not be fitted on the given training data."""
+class TrainingError(RkfdaError, ValueError):
+    """A classifier could not be fitted on the given training data.
+
+    Also a ValueError, so callers that catch ValueError still see it; the
+    bench counts it, and only it and SingularMatrixError, as a failed run.
+    """
 
 
 class DatasetFormatError(RkfdaError):

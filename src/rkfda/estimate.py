@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, LabeledDataset, _frozen_array
+from .core import Grid, LabeledDataset, TrainingError, _frozen_array
 
 __all__ = ["ClassMoments", "class_moments", "pooled_cov", "centred_curves"]
 
@@ -49,7 +49,7 @@ def class_moments(dataset: LabeledDataset) -> ClassMoments:
     x0 = dataset.class_curves(0)
     x1 = dataset.class_curves(1)
     if x0.shape[0] == 0 or x1.shape[0] == 0:
-        raise ValueError("both classes must be present")
+        raise TrainingError("both classes must be present")
     m0 = x0.mean(axis=0)
     m1 = x1.mean(axis=0)
     return ClassMoments(
@@ -72,7 +72,7 @@ def pooled_cov(dataset: LabeledDataset, points=None) -> np.ndarray:
         x = dataset.class_curves(label)[:, idx]
         n = x.shape[0]
         if n < 2:
-            raise ValueError(f"class {label} needs at least 2 samples for covariance")
+            raise TrainingError(f"class {label} needs at least 2 samples for covariance")
         xc = x - x.mean(axis=0)
         cov += xc.T @ xc / n
     return (cov + cov.T) / 2.0
@@ -89,6 +89,6 @@ def centred_curves(dataset: LabeledDataset) -> np.ndarray:
     blocks = []
     for label, mean, n in ((0, moments.m0, moments.n0), (1, moments.m1, moments.n1)):
         if n < 2:
-            raise ValueError(f"class {label} needs at least 2 samples for covariance")
+            raise TrainingError(f"class {label} needs at least 2 samples for covariance")
         blocks.append((dataset.class_curves(label) - mean) / np.sqrt(n))
     return np.vstack(blocks)

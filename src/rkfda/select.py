@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, LabeledDataset, SelectionResult
+from .core import Grid, LabeledDataset, SelectionResult, TrainingError
 # pooled_cov is unused here but stays importable from this module, where
 # perfbench/tracing.py wraps it.
 from .estimate import ClassMoments, centred_curves, class_moments, pooled_cov  # noqa: F401
@@ -157,7 +157,7 @@ def _scan_inputs(source):
 def greedy_select(source, config: SelectionConfig) -> SelectionResult:
     """Forward selection of grid times, one per step, in selection order.
 
-    Ties in the score go to the smallest time.  Raises ValueError when no
+    Ties in the score go to the smallest time.  Raises TrainingError when no
     admissible candidate exists at the first step; later steps simply stop.
     """
     grid, mean, var, column = _scan_inputs(source)
@@ -189,7 +189,7 @@ def greedy_select(source, config: SelectionConfig) -> SelectionResult:
             admissible = allowed & (schur > floor)
             if not admissible.any():
                 if step == 0:
-                    raise ValueError("no admissible candidate point at the first step")
+                    raise TrainingError("no admissible candidate point at the first step")
                 break
             gain = np.where(admissible, resid * resid / schur, -np.inf)
             j = int(np.argmax(gain))

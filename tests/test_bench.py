@@ -1,10 +1,33 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.spatial.distance
 
-from rkfda.bench import ExperimentPlan, run_experiment, variable_recovery_histogram
+from rkfda import io
+from rkfda.bench import (
+    DEFAULT_K_GRID,
+    ExperimentPlan,
+    _apply_method,
+    _knn_accuracies,
+    _validated,
+    run_experiment,
+    variable_recovery_histogram,
+)
+from rkfda.classify import KNNClassifier, error_rate
+from rkfda.core import TrainingError
 from rkfda.kernels import BrownianKernel, OrnsteinUhlenbeckKernel
 from rkfda.rkhs import bayes_error
-from rkfda.simulate import ClassLaw, GaussianComponent, GaussianModel, LinearTrend
+from rkfda.simulate import (
+    ClassLaw,
+    GaussianComponent,
+    GaussianModel,
+    LinearTrend,
+    builtin_catalog,
+    gen_model_dataset,
+    standard_grid,
+)
 
 
 def _gauss_model(model_id, slope1, relevant=()):
@@ -157,3 +180,103 @@ def test_plan_validation():
         ExperimentPlan(models=("G2",), sizes=(30,), methods=("SVM",))
     with pytest.raises(ValueError):
         run_experiment(ExperimentPlan(models=("NOPE",), sizes=(30,), runs=1))
+
+
+@pytest.mark.parametrize(
+    "bad", [{"k_grid": (0,)}, {"k_grid": (-1, 3)}, {"k_grid": ()}, {"d_max": 0}, {"centroid_r_max": 0}]
+)
+def test_plan_rejects_bad_hyperparameters(bad):
+    with pytest.raises(ValueError):
+        ExperimentPlan(models=("G2",), sizes=(30,), **bad)
+
+
+@pytest.mark.parametrize("line", ["k_grid = 0", "k_grid = -1 3", "d_max = 0", "centroid_r_max = 0"])
+def test_bad_plan_hyperparameter_is_a_parse_error(line, tmp_path, capsys):
+    from rkfda.cli import PARSE_EXIT, main
+
+    plan = tmp_path / "plan.ini"
+    plan.write_text(f"[plan]\nmodels = G2\nsizes = 30\nruns = 2\nmethods = kNN Centroid\n{line}\n")
+    assert main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")]) == PARSE_EXIT
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "error_code=parse-error"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_preset_plans_load():
+    presets = sorted((Path(__file__).parent.parent / "plans").glob("*.ini"))
+    assert len(presets) == 3
+    for path in presets:
+        assert io.read_plan(path).runs >= 1
+
+
+def test_programming_errors_in_a_method_propagate(monkeypatch):
+    import rkfda.bench
+
+    def broken(*args, **kwargs):
+        raise ValueError("not a training failure")
+
+    monkeypatch.setattr(rkfda.bench, "centroid_classifiers", broken)
+    plan = ExperimentPlan(
+        models=("G2",), sizes=(30,), runs=1, test_size=50, validation_size=20,
+        methods=("Centroid",), centroid_r_max=3,
+    )
+    with pytest.raises(ValueError, match="not a training failure"):
+        run_experiment(plan)
+
+    def untrainable(*args, **kwargs):
+        raise TrainingError("no usable spectrum")
+
+    monkeypatch.setattr(rkfda.bench, "centroid_classifiers", untrainable)
+    assert run_experiment(plan).entry("G2", 30, "Centroid").failed_runs == 1
+
+
+class _LoopKNN(KNNClassifier):
+    """kNN as scored before one distance matrix served the k grid: a cdist and an argpartition per k."""
+
+    def decide(self, curves):
+        scale = math.sqrt(self.grid.spacing)
+        dist = scipy.spatial.distance.cdist(curves * scale, self.train_curves * scale)
+        neighbours = np.argpartition(dist, self.k - 1, axis=1)[:, : self.k]
+        votes = self.train_labels[neighbours].sum(axis=1)
+        return (votes * 2 > self.k).astype(int)
+
+
+def _assert_knn_matches_loop(train, val, test, k_grid=DEFAULT_K_GRID):
+    """The bench's kNN validation against the per-k loop it replaced."""
+    ks = [k for k in k_grid if k <= train.size]
+
+    def loop(k):
+        return _LoopKNN(grid=train.grid, train_curves=train.curves, train_labels=train.labels, k=k)
+
+    k_loop, clf_loop = _validated(ks, loop, val)
+    loop_accs = [1.0 - error_rate(loop(k), val) for k in ks]
+    np.testing.assert_array_equal(_knn_accuracies(train, val, ks), loop_accs)
+    plan = ExperimentPlan(models=("-",), sizes=(train.size,), k_grid=tuple(k_grid))
+    test_acc, k = _apply_method("kNN", train, val, test, plan)
+    assert k == k_loop
+    assert test_acc == 1.0 - error_rate(clf_loop, test)
+
+
+def _samples(model_id, n, n_val, n_test, seed):
+    model = builtin_catalog()[model_id]
+    grid = standard_grid(100)
+    return tuple(
+        gen_model_dataset(model, size, grid, (seed, n, stream))
+        for stream, size in enumerate((n, n_val, n_test))
+    )
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_knn_validation_matches_the_per_k_loop_on_the_catalog(n):
+    for model_id in sorted(builtin_catalog()):
+        _assert_knn_matches_loop(*_samples(model_id, n, 200, 200, seed=21))
+
+
+@pytest.mark.parametrize("model_id", ["G4", "L4-sB", "M3"])
+def test_knn_validation_matches_the_per_k_loop_at_large_n(model_id):
+    _assert_knn_matches_loop(*_samples(model_id, 1000, 500, 500, seed=22))
+
+
+@pytest.mark.parametrize("k_grid", [(7, 2, 21, 4, 1, 60, 9, 6), (3,), (12,), (40, 8, 31, 2)])
+def test_knn_validation_matches_the_per_k_loop_on_odd_grids(k_grid):
+    for model_id in ("G4", "L1-B", "M3", "TOY"):
+        _assert_knn_matches_loop(*_samples(model_id, 30, 200, 200, seed=23), k_grid=k_grid)

@@ -20,7 +20,8 @@ from rkfda import (
     train_knn,
     train_rkc,
 )
-from rkfda.classify import CentroidClassifier, centroid_classifiers
+from rkfda.bench import ExperimentPlan, _apply_method, _knn_accuracies
+from rkfda.classify import CentroidClassifier, centroid_classifiers, knn_decisions
 from rkfda.simulate import builtin_catalog, gen_model_dataset, standard_grid
 
 
@@ -133,6 +134,67 @@ def test_knn_rejects_bad_k():
     ds = _dataset(np.zeros((2, 2)), np.ones((2, 2)), grid=g)
     with pytest.raises(ValueError):
         train_knn(ds, k=5)
+
+
+def _tied_neighbours_case(seed, n_close=3, n_tied=40, n_far=5):
+    """Close curves, then many identical copies of one curve, then far curves.
+
+    For a query at the origin the copies all tie exactly, so for k between
+    n_close and n_close + n_tied the index rule alone decides which copies
+    vote.  Returns the dataset and the expected decision for each such k.
+    """
+    rng = np.random.default_rng(seed)
+    g = make_grid(4, 0, 1)
+    close = rng.uniform(0.1, 0.5, size=(n_close, 4))
+    tied = np.tile([1.0, -1.0, 1.0, -1.0], (n_tied, 1))
+    far = rng.uniform(3.0, 4.0, size=(n_far, 4))
+    kind = np.repeat([0, 1, 2], [n_close, n_tied, n_far])
+    labels = rng.integers(0, 2, size=kind.size)
+    labels[:2] = [0, 1]
+    perm = rng.permutation(kind.size)
+    curves, labels, kind = np.vstack([close, tied, far])[perm], labels[perm], kind[perm]
+    ds = LabeledDataset(grid=g, curves=curves, labels=labels)
+    close_votes = labels[kind == 0].sum()
+    tied_labels = labels[kind == 1]  # in training-index order
+    expected = {
+        k: int((close_votes + tied_labels[: k - n_close].sum()) * 2 > k)
+        for k in range(n_close, n_close + n_tied + 1)
+    }
+    return ds, expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_knn_exact_distance_ties_go_to_the_smaller_index(seed):
+    ds, expected = _tied_neighbours_case(seed)
+    query = np.zeros((1, 4))
+    got = {k: int(train_knn(ds, k).decide(query)[0]) for k in expected}
+    assert got == expected
+    # every k at once, with the largest k inside the tied block
+    ks = sorted(expected)[:-3]
+    batch = knn_decisions(ds.grid, ds.curves, ds.labels, query, ks)
+    assert batch[:, 0].tolist() == [expected[k] for k in ks]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validated_k_follows_the_neighbour_tie_rule(seed):
+    train, expected = _tied_neighbours_case(seed)
+    # every validation curve sits at the origin with label 1, so the accuracy
+    # of each k is its expected decision there
+    val = LabeledDataset(grid=train.grid, curves=np.zeros((5, 4)), labels=np.ones(5, dtype=int))
+    ks = sorted(expected)
+    decided = [expected[k] for k in ks]
+    np.testing.assert_array_equal(_knn_accuracies(train, val, ks), decided)
+    plan = ExperimentPlan(models=("-",), sizes=(train.size,), k_grid=tuple(ks))
+    test_acc, k = _apply_method("kNN", train, val, val, plan)
+    assert k == ks[int(np.argmax(decided))]
+    assert test_acc == expected[k]
+
+
+def test_knn_decisions_reject_bad_k():
+    ds = _dataset(np.zeros((2, 2)), np.ones((2, 2)), grid=make_grid(2, 0, 1))
+    for ks in ([], [0], [1, 5]):
+        with pytest.raises(ValueError):
+            knn_decisions(ds.grid, ds.curves, ds.labels, np.zeros((1, 2)), ks)
 
 
 def test_centroid_r1_reduces_to_projection_sign():
