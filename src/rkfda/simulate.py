@@ -13,8 +13,21 @@ follows a Bernoulli with success probability expit(psi(x(t_1), ..., x(t_k))).
 
 Every curve gets its own counter-derived RNG stream keyed by
 (entropy, class, index), so generation is reproducible bit-for-bit no matter
-how work is scheduled.  The built-in catalog ships as a plain-text file,
-``models.catalog``, parsed by :func:`parse_catalog`.
+how work is scheduled: curve ``i`` of class ``y`` draws from
+``PCG64(SeedSequence(seed, spawn_key=(y, i)))``.  The seed words of all
+curves come from one vectorized pass of the SeedSequence hash
+(``_spawn_seed_words``), so building a curve's stream costs one ``PCG64``
+construction rather than a ``SeedSequence`` per curve.  The per-curve loop
+only draws, in a fixed order: the mixture component, the path's standard
+normals (written straight into the output), the bridge's endpoint normal,
+any random slopes, and the logistic uniform.  Everything else -- step
+scaling and ``cumsum``, bridge pinning, the OU recursion, trends and the
+logistic link -- runs on blocks of rows of the output, in place.  The
+smoothed-Brownian product stays one ``weights @ row`` per curve: a batched
+matrix product rounds differently and would change the data.
+
+The built-in catalog ships as a plain-text file, ``models.catalog``, parsed
+by :func:`parse_catalog`.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import expit
@@ -168,12 +181,30 @@ def trend_eval(spec: TrendSpec, t) -> np.ndarray | float:
 
 def trend_realize(spec: TrendSpec, points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Sample one realization of the trend on the given times."""
+    return _trend_values(spec, points, lambda term: rng.normal(0.0, term.sd))
+
+
+def _random_terms(trend: TrendSpec) -> list:
+    """The random-slope terms of a trend, in the order they draw their slopes."""
+    if isinstance(trend, RandomSlopeTrend):
+        return [trend]
+    if isinstance(trend, SumTrend):
+        return [t for term in trend.terms for t in _random_terms(term)]
+    return []
+
+
+def _trend_values(spec: TrendSpec, points: np.ndarray, slope) -> np.ndarray:
+    """Trend values on ``points``; ``slope(term)`` gives a random term's slope.
+
+    A scalar slope gives one curve's trend; a vector of k slopes gives a
+    (k, G) block, one curve per row.
+    """
     if isinstance(spec, RandomSlopeTrend):
-        return rng.normal(0.0, spec.sd) * points
+        return np.multiply.outer(slope(spec), points)
     if isinstance(spec, SumTrend):
         total = np.zeros_like(points)
         for term in spec.terms:
-            total = total + trend_realize(term, points, rng)
+            total = total + _trend_values(term, points, slope)
         return total
     return spec.values(points)
 
@@ -208,26 +239,51 @@ def smoothing_matrix(grid: Grid, bandwidth: float) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _process_sampler(spec: ProcessSpec, grid: Grid) -> Callable[[np.random.Generator], np.ndarray]:
-    """Precompute per-grid constants and return a one-curve sampler."""
-    pts = grid.points
-    if isinstance(spec, BrownianKernel):
-        steps = _brownian_steps(pts)
-        return lambda rng: np.cumsum(rng.standard_normal(pts.size) * steps)
-    if isinstance(spec, BrownianBridgeKernel):
-        t_max = spec.t_max
-        if pts[-1] > t_max + 1e-12:
-            raise ValueError("grid extends beyond the bridge endpoint")
-        tail = t_max - pts[-1]
-        steps = _brownian_steps(pts)
-        scale = pts / t_max
+@dataclass(frozen=True)
+class _Component:
+    """A process and trend checked and precomputed for one grid.
 
-        def draw_bridge(rng):
-            b = np.cumsum(rng.standard_normal(pts.size) * steps)
-            b_end = b[-1] + (math.sqrt(tail) * rng.standard_normal() if tail > 1e-15 else 0.0)
-            return b - scale * b_end
+    ``tail``: time from the last grid point to a bridge's endpoint when each
+    curve also draws the endpoint normal (0 otherwise);
+    ``slope_sds``: the random-slope terms' standard deviations, in draw order;
+    ``weights``: the smoothing matrix of a smoothed Brownian process.
+    """
 
-        return draw_bridge
+    process: ProcessSpec
+    trend: TrendSpec
+    tail: float = 0.0
+    slope_sds: tuple = ()
+    weights: np.ndarray | None = None
+
+
+def _component(process: ProcessSpec, trend: TrendSpec, grid: Grid) -> _Component:
+    slope_sds = tuple(term.sd for term in _random_terms(trend))
+    if isinstance(process, BrownianBridgeKernel):
+        return _Component(process, trend, _bridge_tail(process, grid), slope_sds)
+    if isinstance(process, SmoothedBrownian):
+        weights = smoothing_matrix(grid, process.bandwidth)
+        return _Component(process, trend, slope_sds=slope_sds, weights=weights)
+    if isinstance(process, (BrownianKernel, OrnsteinUhlenbeckKernel)):
+        return _Component(process, trend, slope_sds=slope_sds)
+    raise TypeError(f"unknown process kind {type(process).__name__}")
+
+
+def _bridge_tail(spec: BrownianBridgeKernel, grid: Grid) -> float:
+    """Time from the last grid point to the bridge's endpoint (0 when negligible)."""
+    if grid.points[-1] > spec.t_max + 1e-12:
+        raise ValueError("grid extends beyond the bridge endpoint")
+    tail = spec.t_max - grid.points[-1]
+    return tail if tail > 1e-15 else 0.0
+
+
+def _process_paths(comp: _Component, grid: Grid, block: np.ndarray, end_normals: np.ndarray) -> None:
+    """Turn rows of standard normals into paths of ``comp.process``, in place.
+
+    ``end_normals`` holds each row's bridge endpoint normal (read only by a
+    bridge that draws one).  Every operation is row-wise, so a row's path
+    does not depend on the other rows of the block.
+    """
+    spec, pts = comp.process, grid.points
     if isinstance(spec, OrnsteinUhlenbeckKernel):
         # imported here: scipy.signal pulls in scipy.stats, most of the
         # package's import time, and only this simulator needs it
@@ -236,24 +292,30 @@ def _process_sampler(spec: ProcessSpec, grid: Grid) -> Callable[[np.random.Gener
         sigma = math.sqrt(spec.sigma2)
         rho = math.exp(-spec.theta * grid.spacing)
         innov = sigma * math.sqrt(1.0 - rho * rho)
-
-        def draw_ou(rng):
-            # stationary start, then x[i] = rho*x[i-1] + innovation
-            w = innov * rng.standard_normal(pts.size)
-            w[0] *= sigma / innov
-            return scipy.signal.lfilter([1.0], [1.0, -rho], w)
-
-        return draw_ou
-    if isinstance(spec, SmoothedBrownian):
-        weights = smoothing_matrix(grid, spec.bandwidth)
-        steps = _brownian_steps(pts)
-        return lambda rng: weights @ np.cumsum(rng.standard_normal(pts.size) * steps)
-    raise TypeError(f"unknown process kind {type(spec).__name__}")
+        # stationary start, then x[i] = rho*x[i-1] + innovation
+        block *= innov
+        block[:, 0] *= sigma / innov
+        block[:] = scipy.signal.lfilter([1.0], [1.0, -rho], block, axis=1)
+        return
+    block *= _brownian_steps(pts)
+    np.cumsum(block, axis=1, out=block)
+    if isinstance(spec, BrownianBridgeKernel):
+        b_end = block[:, -1] + (math.sqrt(comp.tail) * end_normals if comp.tail else 0.0)
+        block -= np.multiply.outer(b_end, pts / spec.t_max)
+    elif comp.weights is not None:
+        for row in block:
+            # one matrix-vector product per curve: a batched product rounds differently
+            row[:] = comp.weights @ row
 
 
 def gen_process(spec: ProcessSpec, grid: Grid, rng: np.random.Generator) -> np.ndarray:
     """Draw one trajectory of the process from its exact law on the grid."""
-    return _process_sampler(spec, grid)(rng)
+    comp = _component(spec, ZeroTrend(), grid)
+    block = np.empty((1, grid.count))
+    rng.standard_normal(out=block[0])
+    end = rng.standard_normal() if comp.tail else 0.0
+    _process_paths(comp, grid, block, np.array([end]))
+    return block[0]
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +440,94 @@ def standard_grid(count: int = 100) -> Grid:
 # ---------------------------------------------------------------------------
 
 
-def _stream(entropy, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
+_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants (pool of 4 uint32 words)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _entropy_words(value) -> list[int]:
+    """The uint32 words SeedSequence reads from an int or a sequence of ints."""
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words = [value & _MASK32]  # least significant first; 0 is one word
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+        return words
+    if isinstance(value, (tuple, list, range, np.ndarray)):
+        return [word for part in value for word in _entropy_words(part)]
+    raise TypeError(f"seed must be an int or a sequence of ints, not {type(value).__name__}")
+
+
+def _spawn_seed_words(entropy, label: int, indices) -> np.ndarray:
+    """PCG64 seed words of the streams keyed (entropy, label, i), one row per i.
+
+    Row r equals ``SeedSequence(entropy, spawn_key=(label, indices[r]))
+    .generate_state(4, np.uint64)``: the SeedSequence hash run once over all
+    rows in uint32 arithmetic.  A label or index of 2**32 or more would take
+    a second key word and raises ``ValueError``.
+    """
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if not 0 <= label <= _MASK32 or np.any((indices < 0) | (indices > _MASK32)):
+        raise ValueError("spawn key words must lie in [0, 2**32)")
+    run = _entropy_words(entropy)
+    run += [0] * (_POOL_SIZE - len(run))  # SeedSequence pads the run entropy when spawned
+    words = run + [label, indices.astype(np.uint32)]
+
+    # Every step masks to 32 bits, so the words shared by all rows stay
+    # Python ints and only the index word's steps run on arrays.
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * hash_a & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state = np.empty((indices.size, 8), dtype=np.uint64)
+    hash_b = _INIT_B
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ hash_b
+        hash_b = hash_b * _MULT_B & _MASK32
+        value = value * hash_b & _MASK32
+        state[:, k] = value ^ (value >> 16)
+    # uint32 pairs (low, high) make the four uint64 words
+    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Precomputed PCG64 seed words standing in for their SeedSequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("precomputed seed words serve PCG64 only")
+        return self.words
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def _pick_component(rng: np.random.Generator, weights: tuple) -> int:
@@ -390,48 +538,77 @@ def _pick_component(rng: np.random.Generator, weights: tuple) -> int:
     return min(idx, len(weights) - 1)
 
 
+# rows transformed together: bounds the temporaries of the block transforms
+_BLOCK_BYTES = 1 << 21
+
+
+def _component_paths(comp: _Component, grid: Grid, curves, rows, end_normals, slopes) -> None:
+    """Transform ``curves[rows]`` from standard normals to process + trend paths."""
+    step = max(1, _BLOCK_BYTES // (8 * grid.count))
+    whole = rows.size == len(curves)
+    for start in range(0, rows.size, step):
+        r = rows[start : start + step]
+        # all rows in one component: transform views in place; else gather and scatter
+        block = curves[start : start + step] if whole else curves[r]
+        _process_paths(comp, grid, block, end_normals[r])
+        columns = iter(slopes[r].T)
+        block += _trend_values(comp.trend, grid.points, lambda term: next(columns))
+        if not whole:
+            curves[r] = block
+
+
 def gen_model_dataset(model: ModelSpec, n: int, grid: Grid, seed) -> LabeledDataset:
     """Generate ``n`` labeled curves; bit-identical for equal (model, n, grid, seed).
 
     ``seed`` may be an int or a tuple of ints; curve ``i`` of class ``y``
     always consumes the stream keyed (seed, y, i), so the output does not
-    depend on evaluation order.
+    depend on evaluation order.  A logistic model keys every curve with
+    class 0 and draws its label last from the curve's own stream.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
-    curves = np.empty((n, grid.count))
     if isinstance(model, GaussianModel):
-        samplers = {
-            label: [
-                (_process_sampler(comp.process, grid), comp.trend)
-                for comp in law.components
-            ]
-            for label, law in ((0, model.class0), (1, model.class1))
-        }
-        labels = (_stream(seed, 2, 0).random(n) < model.prior).astype(int)
-        laws = {0: model.class0, 1: model.class1}
-        for i in range(n):
-            y = int(labels[i])
-            rng = _stream(seed, y, i)
-            c = _pick_component(rng, laws[y].weights)
-            draw, trend = samplers[y][c]
-            curves[i] = draw(rng) + trend_realize(trend, grid.points, rng)
-        return LabeledDataset(grid=grid, curves=curves, labels=labels, fixed_prior=model.prior)
-    if isinstance(model, LogisticModel):
-        samplers = [
-            (_process_sampler(comp.process, grid), comp.trend)
-            for comp in model.marginal.components
-        ]
-        labels = np.empty(n, dtype=int)
-        for i in range(n):
-            rng = _stream(seed, 0, i)
-            c = _pick_component(rng, model.marginal.weights)
-            draw, trend = samplers[c]
-            curves[i] = draw(rng) + trend_realize(trend, grid.points, rng)
-            eta = expit(model.link_values(curves[i : i + 1], grid)[0])
-            labels[i] = int(rng.random() < eta)
-        return LabeledDataset(grid=grid, curves=curves, labels=labels, fixed_prior=model.prior)
-    raise TypeError(f"unknown model kind {type(model).__name__}")
+        laws = (model.class0, model.class1)
+        labels = (_generator(_spawn_seed_words(seed, 2, [0])[0]).random(n) < model.prior).astype(int)
+        keys = labels  # the class word of each curve's stream key
+    elif isinstance(model, LogisticModel):
+        laws = (model.marginal,)
+        keys = np.zeros(n, dtype=int)
+    else:
+        raise TypeError(f"unknown model kind {type(model).__name__}")
+    components = [[_component(c.process, c.trend, grid) for c in law.components] for law in laws]
+    words = np.empty((n, 4), dtype=np.uint64)
+    for y in range(len(laws)):
+        rows = np.flatnonzero(keys == y)
+        words[rows] = _spawn_seed_words(seed, y, rows)
+
+    # per curve only the draws, in stream order; the output holds the normals
+    curves = np.empty((n, grid.count))
+    picks = np.empty(n, dtype=int)
+    end_normals = np.zeros(n)
+    slopes = np.zeros((n, max(len(c.slope_sds) for law in components for c in law)))
+    uniforms = np.empty(n)
+    logistic = isinstance(model, LogisticModel)
+    for i in range(n):
+        rng = _generator(words[i])
+        y = keys[i]
+        picks[i] = c = _pick_component(rng, laws[y].weights)
+        comp = components[y][c]
+        rng.standard_normal(out=curves[i])
+        if comp.tail:
+            end_normals[i] = rng.standard_normal()
+        for k, sd in enumerate(comp.slope_sds):
+            slopes[i, k] = rng.normal(0.0, sd)
+        if logistic:
+            uniforms[i] = rng.random()
+
+    for y, law_components in enumerate(components):
+        for c, comp in enumerate(law_components):
+            rows = np.flatnonzero((keys == y) & (picks == c))
+            _component_paths(comp, grid, curves, rows, end_normals, slopes)
+    if logistic:
+        labels = (uniforms < expit(model.link_values(curves, grid))).astype(int)
+    return LabeledDataset(grid=grid, curves=curves, labels=labels, fixed_prior=model.prior)
 
 
 # ---------------------------------------------------------------------------
