@@ -2,17 +2,27 @@
 
 Each run draws fresh training, validation and test samples from the model,
 fits every requested method on the training sample, fixes its hyperparameter
-(number of selected points, k, or truncation order) by validation accuracy
-with ties going to the smallest value, and scores the winner on the test
-sample.  Runs are independent tasks; results are keyed by run index before
-aggregation, so reports are identical no matter how many workers execute
-them.  kNN validation scores the whole k grid from one distance matrix
-between the validation and training curves (``classify.knn_decisions``)
-and fits only the chosen k; the earliest k in the grid wins ties, as in
-``_validated``.  A run whose training fails (``TrainingError``, e.g. a
-class with fewer than two curves, or ``SingularMatrixError``) is recorded as
-failed for that method and excluded from the averages; any other exception
-is a fault and propagates.
+(number of selected points, k, or truncation order) by validation accuracy,
+and scores the winner on the test sample.  Runs are independent tasks;
+results are keyed by run index before aggregation, so reports are identical
+no matter how many workers execute them.
+
+Validation scores every candidate of a method in one pass, with no refit
+per candidate:
+
+- RK-C and RK_B-C: ``classify.rkc_decisions`` decides with the rule on
+  every prefix of the greedy selection from the selection's Cholesky factor;
+- kNN: ``classify.knn_decisions`` votes for the whole k grid from one
+  distance matrix between the validation and training curves;
+- Centroid: ``classify.centroid_decisions`` projects onto every order's
+  contrast in one product.
+
+The first maximum of the validation accuracy wins, so ties go to the
+smallest d or truncation order and to the earliest k in the grid.  Only the
+chosen classifier is built for the test set.  A run whose training fails
+(``TrainingError``, e.g. a class with fewer than two curves, or
+``SingularMatrixError``) is recorded as failed for that method and excluded
+from the averages; any other exception is a fault and propagates.
 
 ``RKFDA_THREADS`` caps the worker pool size; a value that is not an integer
 raises UsageError.
@@ -27,7 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import centroid_classifiers, error_rate, knn_decisions, train_knn, train_rkc
+from .classify import (
+    centroid_classifiers,
+    centroid_decisions,
+    error_rate,
+    knn_decisions,
+    rkc_decisions,
+    train_knn,
+    train_rkc,
+)
 from .core import Grid, SingularMatrixError, TrainingError, UsageError
 from .kernels import BrownianKernel
 from .select import SelectionConfig, greedy_select, oracle_source_from_dataset
@@ -116,26 +134,18 @@ def _worker_count(plan: ExperimentPlan) -> int:
     return max(requested, 1)
 
 
-def _validated(candidates, fit, val) -> tuple:
-    """Pick the candidate maximizing validation accuracy, smallest on ties."""
-    best = None
-    for value in candidates:
-        clf = fit(value)
-        acc = 1.0 - error_rate(clf, val)
-        if best is None or acc > best[0]:
-            best = (acc, value, clf)
-    if best is None:
-        raise TrainingError("no admissible hyperparameter value")
-    return best[1], best[2]
+def _accuracies(decisions: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Accuracy of each row of ``decisions`` against ``labels``."""
+    return 1.0 - np.mean(decisions != labels, axis=1)
 
 
 def _knn_accuracies(train, val, ks) -> np.ndarray:
     """Validation accuracy of the kNN vote for every k in ``ks``, from one distance matrix."""
-    decisions = knn_decisions(train.grid, train.curves, train.labels, val.curves, ks)
-    return 1.0 - np.mean(decisions != val.labels, axis=1)
+    return _accuracies(knn_decisions(train.grid, train.curves, train.labels, val.curves, ks), val.labels)
 
 
 def _apply_method(method: str, train, val, test, plan: ExperimentPlan):
+    # np.argmax takes the first maximum, so validation ties go to the first candidate
     if method in ("RK-C", "RK_B-C"):
         config = SelectionConfig(d_max=plan.d_max, rel_tol=0.0)
         kernel = BrownianKernel() if method == "RK_B-C" else None
@@ -143,26 +153,22 @@ def _apply_method(method: str, train, val, test, plan: ExperimentPlan):
             selection = greedy_select(train, config)
         else:
             selection = greedy_select(oracle_source_from_dataset(train, kernel), config)
-        d, clf = _validated(
-            range(1, len(selection) + 1),
-            lambda d: train_rkc(train, selection.points[:d], kernel=kernel),
-            val,
-        )
+        accs = _accuracies(rkc_decisions(train, selection, val.curves), val.labels)
+        d = int(np.argmax(accs)) + 1
+        clf = train_rkc(train, selection.points[:d], kernel=kernel)
         return 1.0 - error_rate(clf, test), float(d)
     if method == "kNN":
         ks = [k for k in plan.k_grid if k <= train.size]
         if not ks:
             raise TrainingError("no admissible hyperparameter value")
-        # first maximum, so ties go to the earliest k, as in _validated
         k = ks[int(np.argmax(_knn_accuracies(train, val, ks)))]
         return 1.0 - error_rate(train_knn(train, k), test), float(k)
     if method == "Centroid":
         built = centroid_classifiers(train, range(1, plan.centroid_r_max + 1), clip=True)
         if not built:
             raise TrainingError("pooled covariance has no usable spectrum")
-        by_order = {c.order: c for c in built}
-        r, clf = _validated(sorted(by_order), lambda r: by_order[r], val)
-        return 1.0 - error_rate(clf, test), float(r)
+        clf = built[int(np.argmax(_accuracies(centroid_decisions(built, val.curves), val.labels)))]
+        return 1.0 - error_rate(clf, test), float(clf.order)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -7,13 +7,17 @@ pooled covariance and estimated mean difference; its score is
     alpha . (x(points) - midpoint) - log((1-p)/p)
 
 and coincides with the optimal discriminant when the true mean difference is
-a finite kernel expansion at those points.  ``KNNClassifier`` votes among the
+a finite kernel expansion at those points.  :func:`rkc_decisions` gives the
+decisions of the rule on every prefix of a greedy selection from the
+selection's Cholesky factor.  ``KNNClassifier`` votes among the
 k nearest training curves in the quadrature-scaled Euclidean metric; an
 exact distance tie at the k-th place goes to the smaller training index, and
 :func:`knn_decisions` gives the votes of a whole k grid from one distance
 matrix.
 ``CentroidClassifier`` projects a curve onto a truncated eigenbasis contrast
-and assigns the class whose projected centroid is closer.
+and assigns the class whose projected centroid is closer;
+:func:`centroid_decisions` decides for several truncation orders from one
+product.
 
 Score ties resolve to label 0 everywhere, which keeps decisions deterministic
 for tests; under the continuous models a tie has probability zero.
@@ -29,7 +33,15 @@ import numpy as np
 import scipy.linalg
 import scipy.spatial.distance
 
-from .core import Grid, LabeledDataset, SingularMatrixError, TrainingError, _frozen_array, class_prior
+from .core import (
+    Grid,
+    LabeledDataset,
+    SelectionResult,
+    SingularMatrixError,
+    TrainingError,
+    _frozen_array,
+    class_prior,
+)
 from .estimate import centred_curves, class_moments, pooled_cov
 # discretized_eigen is unused here but stays importable from this module,
 # where perfbench/tracing.py wraps it.
@@ -41,10 +53,12 @@ __all__ = [
     "CentroidClassifier",
     "TrainedClassifier",
     "train_rkc",
+    "rkc_decisions",
     "train_knn",
     "knn_decisions",
     "train_centroid",
     "centroid_classifiers",
+    "centroid_decisions",
     "classify",
     "classify_batch",
     "error_rate",
@@ -131,6 +145,17 @@ TrainedClassifier = Union[RKCClassifier, KNNClassifier, CentroidClassifier]
 DEGENERATE_RTOL = 1e-12
 
 
+def _rkc_moments(dataset: LabeledDataset, prior: float | None = None):
+    """Class moments and log((1-p)/p) for the linear rule, checked for training."""
+    moments = class_moments(dataset)
+    if moments.n0 < 2 or moments.n1 < 2:
+        raise TrainingError("both classes need at least 2 samples")
+    p = class_prior(dataset) if prior is None else float(prior)
+    if not 0.0 < p < 1.0:
+        raise ValueError("class prior must lie in (0, 1) for training")
+    return moments, math.log((1.0 - p) / p)
+
+
 def train_rkc(
     dataset: LabeledDataset,
     points,
@@ -145,9 +170,7 @@ def train_rkc(
     oracle variant; class means are estimated from the sample either way.
     Raises TrainingError when the covariance stays singular after ridging.
     """
-    moments = class_moments(dataset)
-    if moments.n0 < 2 or moments.n1 < 2:
-        raise TrainingError("both classes need at least 2 samples")
+    moments, log_prior_odds = _rkc_moments(dataset, prior)
     idx = dataset.grid.indices_of(points)
     if kernel is None:
         cov = pooled_cov(dataset, dataset.grid.points[idx])
@@ -157,16 +180,34 @@ def train_rkc(
         alphas, _ = solve_spd(cov, moments.diff_at(idx), policy)
     except SingularMatrixError as exc:
         raise TrainingError("covariance at the selected points is singular") from exc
-    p = class_prior(dataset) if prior is None else float(prior)
-    if not 0.0 < p < 1.0:
-        raise ValueError("class prior must lie in (0, 1) for training")
     return RKCClassifier(
         grid=dataset.grid,
         indices=idx,
         alphas=alphas,
         midpoint=moments.midpoint_at(idx),
-        log_prior_odds=math.log((1.0 - p) / p),
+        log_prior_odds=log_prior_odds,
     )
+
+
+def rkc_decisions(dataset: LabeledDataset, selection: SelectionResult, curves) -> np.ndarray:
+    """Decisions of the linear rule on every prefix of a greedy selection.
+
+    Returns an int array of shape ``(len(selection), len(curves))``; row
+    d - 1 holds the decisions of the rule fitted on ``selection.points[:d]``,
+    with the covariance whose Cholesky factor L the selection carries (the
+    pooled covariance or an analytic Gram) and the class means and prior of
+    ``dataset``, as :func:`train_rkc` fits it.  With ``w = L^{-1} m`` and
+    ``U = L^{-1} (x - midpoint)`` from one triangular solve, the score at d is
+    ``sum_{k<d} w_k U_k - log((1-p)/p)``, a cumulative sum over k.  The
+    selection's degeneracy rule keeps L invertible, so no ridge is needed.
+    """
+    moments, log_prior_odds = _rkc_moments(dataset)
+    idx = selection.indices
+    centred = np.asarray(curves)[:, idx] - moments.midpoint_at(idx)
+    rhs = np.column_stack([moments.diff_at(idx), centred.T])
+    solved = scipy.linalg.solve_triangular(selection.factor, rhs, lower=True, check_finite=False)
+    scores = np.cumsum(solved[:, :1] * solved[:, 1:], axis=0) - log_prior_odds
+    return (scores > 0.0).astype(int)
 
 
 def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndarray:
@@ -265,6 +306,21 @@ def centroid_classifiers(dataset: LabeledDataset, orders, clip: bool = False) ->
     return out
 
 
+def centroid_decisions(classifiers, curves) -> np.ndarray:
+    """Decisions of several centroid rules on the same grid, from one product.
+
+    Returns an int array of shape ``(len(classifiers), len(curves))``; row i
+    holds ``classifiers[i].decide(curves)``.
+    """
+    if not classifiers:
+        raise ValueError("no centroid rules to decide with")
+    psi = np.stack([c.psi_curve for c in classifiers])
+    s = (np.asarray(curves) @ psi.T * classifiers[0].grid.spacing).T
+    proj0 = np.array([[c.proj0] for c in classifiers])
+    proj1 = np.array([[c.proj1] for c in classifiers])
+    return ((s - proj1) ** 2 < (s - proj0) ** 2).astype(int)
+
+
 def train_centroid(dataset: LabeledDataset, r: int) -> CentroidClassifier:
     """Fit the centroid rule with an order-``r`` eigenbasis truncation."""
     return centroid_classifiers(dataset, [r])[0]
@@ -292,6 +348,6 @@ def error_rate(classifier: TrainedClassifier, test: LabeledDataset) -> float:
     """Fraction of test curves whose predicted label differs from the truth."""
     if test.size == 0:
         raise ValueError("empty test set")
-    if not classifier.grid.same_as(test.grid):
+    if classifier.grid is not test.grid and not classifier.grid.same_as(test.grid):
         raise ValueError("test grid differs from the training grid")
     return float(np.mean(classify_batch(classifier, test.curves) != test.labels))

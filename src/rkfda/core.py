@@ -91,13 +91,22 @@ class Grid:
 
     def index_of(self, t: float) -> int:
         """Index of the grid point equal to ``t`` (within spacing*1e-9)."""
-        i = int(np.argmin(np.abs(self.points - t)))
-        if abs(self.points[i] - t) > self.spacing * 1e-9:
-            raise ValueError(f"time {t!r} is not a grid point")
-        return i
+        return int(self.indices_of([t])[0])
 
     def indices_of(self, times) -> np.ndarray:
-        return np.array([self.index_of(t) for t in np.atleast_1d(times)], dtype=int)
+        """Indices of the grid points equal to ``times`` (each within spacing*1e-9).
+
+        Raises ValueError naming the first time that is NaN, infinite or off
+        the grid.
+        """
+        t = np.asarray(times, dtype=float).ravel()
+        pos = np.rint((t - self.points[0]) / self.spacing)
+        inside = (pos >= 0) & (pos < self.count)  # False for NaN and +-inf
+        idx = np.where(inside, pos, 0).astype(int)
+        bad = ~inside | (np.abs(self.points[idx] - t) > self.spacing * 1e-9)
+        if bad.any():
+            raise ValueError(f"time {float(t[np.argmax(bad)])!r} is not a grid point")
+        return idx
 
     def nearest_index(self, t: float) -> int:
         """Index of the grid point closest to ``t`` (no exactness required)."""
@@ -173,19 +182,27 @@ class SelectionResult:
 
     ``psi_trace[k]`` is the squared Mahalanobis distance between the class
     mean vectors restricted to ``points[: k + 1]``; it is nonnegative and
-    nondecreasing by construction of the greedy search.
+    nondecreasing by construction of the greedy search.  ``factor`` is the
+    lower-triangular Cholesky factor L of the covariance at the selected
+    points, in selection order (``L @ L.T`` is that d x d covariance), so its
+    leading k x k block factors the covariance at ``points[:k]``.
     """
 
     points: np.ndarray
     indices: np.ndarray = field(repr=False)
     psi_trace: np.ndarray
+    factor: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", _frozen_array(self.points))
         object.__setattr__(self, "indices", _frozen_array(self.indices, dtype=int))
         object.__setattr__(self, "psi_trace", _frozen_array(self.psi_trace))
+        object.__setattr__(self, "factor", _frozen_array(self.factor))
         if not (len(self.points) == len(self.indices) == len(self.psi_trace)):
             raise ValueError("points, indices and psi_trace must align")
+        d = len(self.points)
+        if self.factor.shape != (d, d):
+            raise ValueError("factor must be d x d for d selected points")
 
     def __len__(self) -> int:
         return self.points.size

@@ -18,7 +18,9 @@ The scan scores every candidate at once with the forward-regression update
 where s_i = K_ii - k_iS K_SS^{-1} k_Si is the Schur complement of the chosen
 set S and e_i = m_i - k_iS K_SS^{-1} m_S the residual mean difference.  Both
 are kept up to date through one growing Cholesky factor of K_SS, so a step
-costs O(d * G) and reads a single covariance column.
+costs O(d * G) and reads a single covariance column.  The result carries
+that factor, from which ``classify.rkc_decisions`` scores the linear rule on
+every prefix of the selection without refitting.
 
 Degeneracy rule: a candidate is inadmissible while s_i <= 1e-12 * K_ii, that
 is when its variance is zero (e.g. a pinned endpoint) or it is numerically a
@@ -207,6 +209,10 @@ def greedy_select(source, config: SelectionConfig) -> SelectionResult:
             chosen.append(j)
             trace.append(psi)
             allowed &= np.abs(grid.points - grid.points[j]) >= sep_tol
+    d = len(chosen)
     return SelectionResult(
-        points=grid.points[chosen], indices=np.array(chosen, dtype=int), psi_trace=trace
+        points=grid.points[chosen],
+        indices=np.array(chosen, dtype=int),
+        psi_trace=trace,
+        factor=np.tril(rows[:d, chosen].T),
     )

@@ -9,16 +9,24 @@ from rkfda import io
 from rkfda.bench import (
     DEFAULT_K_GRID,
     ExperimentPlan,
+    _accuracies,
     _apply_method,
     _knn_accuracies,
-    _validated,
     run_experiment,
     variable_recovery_histogram,
 )
-from rkfda.classify import KNNClassifier, error_rate
+from rkfda.classify import (
+    KNNClassifier,
+    centroid_classifiers,
+    centroid_decisions,
+    error_rate,
+    rkc_decisions,
+    train_rkc,
+)
 from rkfda.core import TrainingError
 from rkfda.kernels import BrownianKernel, OrnsteinUhlenbeckKernel
 from rkfda.rkhs import bayes_error
+from rkfda.select import SelectionConfig, greedy_select, oracle_source_from_dataset
 from rkfda.simulate import (
     ClassLaw,
     GaussianComponent,
@@ -229,6 +237,19 @@ def test_programming_errors_in_a_method_propagate(monkeypatch):
     assert run_experiment(plan).entry("G2", 30, "Centroid").failed_runs == 1
 
 
+def _validated(candidates, fit, val) -> tuple:
+    """Pick the candidate maximizing validation accuracy, smallest on ties."""
+    best = None
+    for value in candidates:
+        clf = fit(value)
+        acc = 1.0 - error_rate(clf, val)
+        if best is None or acc > best[0]:
+            best = (acc, value, clf)
+    if best is None:
+        raise TrainingError("no admissible hyperparameter value")
+    return best[1], best[2]
+
+
 class _LoopKNN(KNNClassifier):
     """kNN as scored before one distance matrix served the k grid: a cdist and an argpartition per k."""
 
@@ -280,3 +301,76 @@ def test_knn_validation_matches_the_per_k_loop_at_large_n(model_id):
 def test_knn_validation_matches_the_per_k_loop_on_odd_grids(k_grid):
     for model_id in ("G4", "L1-B", "M3", "TOY"):
         _assert_knn_matches_loop(*_samples(model_id, 30, 200, 200, seed=23), k_grid=k_grid)
+
+
+# The per-candidate loop that one-pass validation replaced: one train_rkc
+# refit and one error_rate per d, one error_rate per centroid order.
+
+
+def _assert_rk_matches_loop(train, val, test, method, d_max=10):
+    kernel = BrownianKernel() if method == "RK_B-C" else None
+    source = train if kernel is None else oracle_source_from_dataset(train, kernel)
+    selection = greedy_select(source, SelectionConfig(d_max=d_max, rel_tol=0.0))
+
+    def fit(d):
+        return train_rkc(train, selection.points[:d], kernel=kernel)
+
+    ds = range(1, len(selection) + 1)
+    d_loop, clf_loop = _validated(ds, fit, val)
+    loop_accs = [1.0 - error_rate(fit(d), val) for d in ds]
+    np.testing.assert_array_equal(_accuracies(rkc_decisions(train, selection, val.curves), val.labels), loop_accs)
+    plan = ExperimentPlan(models=("-",), sizes=(train.size,), d_max=d_max)
+    test_acc, d = _apply_method(method, train, val, test, plan)
+    assert d == d_loop
+    assert test_acc == 1.0 - error_rate(clf_loop, test)
+
+
+def _assert_centroid_matches_loop(train, val, test, r_max=20):
+    built = centroid_classifiers(train, range(1, r_max + 1), clip=True)
+    by_order = {c.order: c for c in built}
+    r_loop, clf_loop = _validated(sorted(by_order), lambda r: by_order[r], val)
+    loop_accs = [1.0 - error_rate(c, val) for c in built]
+    np.testing.assert_array_equal(_accuracies(centroid_decisions(built, val.curves), val.labels), loop_accs)
+    plan = ExperimentPlan(models=("-",), sizes=(train.size,), centroid_r_max=r_max)
+    test_acc, r = _apply_method("Centroid", train, val, test, plan)
+    assert r == r_loop
+    assert test_acc == 1.0 - error_rate(clf_loop, test)
+
+
+def _assert_one_pass_matches_loop(train, val, test):
+    for method in ("RK-C", "RK_B-C"):
+        _assert_rk_matches_loop(train, val, test, method)
+    _assert_centroid_matches_loop(train, val, test)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_one_pass_validation_matches_the_per_candidate_loop_on_the_catalog(n):
+    for model_id in sorted(builtin_catalog()):
+        _assert_one_pass_matches_loop(*_samples(model_id, n, 200, 200, seed=24))
+
+
+@pytest.mark.parametrize("model_id", ["G4", "L1-B"])
+def test_one_pass_validation_matches_the_per_candidate_loop_on_a_dense_grid(model_id):
+    model = builtin_catalog()[model_id]
+    grid = standard_grid(1000)
+    _assert_one_pass_matches_loop(
+        *(gen_model_dataset(model, size, grid, (25, stream)) for stream, size in enumerate((200, 200, 200)))
+    )
+
+
+def test_validation_ties_go_to_the_smallest_d_and_order():
+    # classes 50 standard deviations apart: every candidate classifies perfectly
+    catalog = {"SEP": _gauss_model("SEP", 50.0)}
+    train, val, test = (
+        gen_model_dataset(catalog["SEP"], size, standard_grid(100), (26, stream))
+        for stream, size in enumerate((30, 100, 100))
+    )
+    plan = ExperimentPlan(models=("SEP",), sizes=(30,), d_max=6, centroid_r_max=6)
+    selection = greedy_select(train, SelectionConfig(d_max=6, rel_tol=0.0))
+    assert len(selection) == 6
+    assert np.all(_accuracies(rkc_decisions(train, selection, val.curves), val.labels) == 1.0)
+    built = centroid_classifiers(train, range(1, 7), clip=True)
+    assert len(built) == 6
+    assert np.all(_accuracies(centroid_decisions(built, val.curves), val.labels) == 1.0)
+    for method in ("RK-C", "RK_B-C", "Centroid"):
+        assert _apply_method(method, train, val, test, plan) == (1.0, 1.0)

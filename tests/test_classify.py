@@ -21,7 +21,15 @@ from rkfda import (
     train_rkc,
 )
 from rkfda.bench import ExperimentPlan, _apply_method, _knn_accuracies
-from rkfda.classify import CentroidClassifier, centroid_classifiers, knn_decisions
+from rkfda.classify import (
+    CentroidClassifier,
+    centroid_classifiers,
+    centroid_decisions,
+    knn_decisions,
+    rkc_decisions,
+)
+from rkfda.core import SelectionResult
+from rkfda.select import SelectionConfig, greedy_select
 from rkfda.simulate import builtin_catalog, gen_model_dataset, standard_grid
 
 
@@ -92,6 +100,34 @@ def test_rkc_tie_goes_to_zero():
     )
     assert classify(clf, [0.9, 0.0]) == 1
     assert classify(clf, [0.5, 0.0]) == 0
+
+
+@pytest.mark.parametrize("fixed_prior", [0.5, 0.8, None])
+def test_rkc_decisions_score_every_prefix_like_train_rkc(fixed_prior):
+    rng = np.random.default_rng(7)
+    g = make_grid(8, 0, 1)
+    x0 = np.cumsum(rng.normal(size=(15, 8)), axis=1)
+    x1 = np.cumsum(rng.normal(size=(25, 8)), axis=1) + 2.0 * g.points
+    ds = _dataset(x0, x1, grid=g, fixed_prior=fixed_prior)
+    selection = greedy_select(ds, SelectionConfig(d_max=5, rel_tol=0.0))
+    moments = class_moments(ds)
+    # the last probe sits on the midpoint, where an even-prior score is exactly 0
+    probes = np.vstack([rng.normal(1.0, 2.0, size=(40, 8)), (moments.m0 + moments.m1) / 2.0])
+    decisions = rkc_decisions(ds, selection, probes)
+    assert decisions.shape == (5, 41)
+    for d in range(1, 6):
+        clf = train_rkc(ds, selection.points[:d])
+        np.testing.assert_array_equal(decisions[d - 1], clf.decide(probes))
+    if fixed_prior == 0.5:
+        assert np.all(decisions[:, -1] == 0)
+
+
+def test_rkc_decisions_need_two_curves_per_class():
+    g = make_grid(3, 0, 1)
+    ds = _dataset(np.zeros((1, 3)), np.ones((3, 3)), grid=g)
+    selection = SelectionResult(points=[0.5], indices=[1], psi_trace=[1.0], factor=[[1.0]])
+    with pytest.raises(TrainingError):
+        rkc_decisions(ds, selection, np.zeros((2, 3)))
 
 
 def test_rkc_training_failure_on_constant_point():
@@ -276,6 +312,9 @@ def _assert_matches_reference(train, validation, orders=range(1, 21)):
         scale = np.abs(b.psi_curve).max()
         np.testing.assert_allclose(a.psi_curve, b.psi_curve, rtol=0.0, atol=1e-4 * scale)
         np.testing.assert_array_equal(a.decide(validation.curves), b.decide(validation.curves))
+    np.testing.assert_array_equal(
+        centroid_decisions(fast, validation.curves), [c.decide(validation.curves) for c in fast]
+    )
     return fast
 
 
@@ -348,6 +387,8 @@ def test_centroid_degenerate_variance_has_empty_spectrum():
     a, b = rng.normal(size=(2, 10))
     ds = _dataset(np.tile(a, (3, 1)), np.tile(b, (5, 1)), grid=g)
     assert centroid_classifiers(ds, range(1, 5), clip=True) == []
+    with pytest.raises(ValueError):
+        centroid_decisions([], ds.curves)
     with pytest.raises(ValueError, match=r"usable spectrum \(0\)"):
         train_centroid(ds, 1)
 
@@ -400,3 +441,9 @@ def test_error_rate_rejects_grid_mismatch():
         error_rate(clf, other)
     with pytest.raises(ValueError):
         classify(clf, np.zeros(3))
+    # same size, other times: still a mismatch; equal times in another Grid object are accepted
+    shifted = LabeledDataset(grid=make_grid(2, 0, 2), curves=np.zeros((2, 2)), labels=np.array([0, 1]))
+    with pytest.raises(ValueError, match="grid"):
+        error_rate(clf, shifted)
+    equal = LabeledDataset(grid=make_grid(2, 0, 1), curves=np.ones((2, 2)), labels=np.array([0, 1]))
+    assert error_rate(clf, equal) == 0.5

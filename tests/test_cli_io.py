@@ -83,6 +83,22 @@ def test_read_classifier_rejects_garbage(tmp_path):
         io.read_classifier(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "0.3"])
+def test_read_classifier_rejects_a_point_off_the_grid(tmp_path, bad):
+    grid = make_grid(6, 0, 1)
+    rng = np.random.default_rng(1)
+    curves = np.vstack([rng.normal(size=(10, 6)), rng.normal(size=(10, 6)) + grid.points])
+    ds = LabeledDataset(grid=grid, curves=curves, labels=np.array([0] * 10 + [1] * 10))
+    path = tmp_path / "model.txt"
+    io.write_classifier(train_rkc(ds, grid.points[[2, 4]]), path)
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("points "))
+    lines[i] = lines[i].rsplit(" ", 1)[0] + " " + bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=f"time {bad} is not a grid point"):
+        io.read_classifier(path)
+
+
 def test_plan_round_trip(tmp_path):
     path = tmp_path / "plan.ini"
     path.write_text(

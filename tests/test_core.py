@@ -49,6 +49,52 @@ def test_index_of_rejects_off_grid_times():
         g.index_of(0.3)
 
 
+def _loop_indices_of(grid, times):
+    """The per-point lookup the vectorized one replaced: one argmin per time."""
+    out = []
+    for t in np.atleast_1d(times):
+        i = int(np.argmin(np.abs(grid.points - t)))
+        if abs(grid.points[i] - t) > grid.spacing * 1e-9:
+            raise ValueError(f"time {t!r} is not a grid point")
+        out.append(i)
+    return np.array(out, dtype=int)
+
+
+@pytest.mark.parametrize("grid", [make_grid(5, 0, 1), make_grid(100, 0.01, 1), make_grid(1000, -2, 3)])
+def test_indices_of_matches_the_per_point_loop(grid):
+    rng = np.random.default_rng(grid.count)
+    idx = rng.permutation(np.concatenate([np.arange(grid.count), rng.integers(0, grid.count, 20)]))
+    # within the exactness tolerance of a grid point, on either side
+    times = grid.points[idx] + rng.uniform(-0.9e-9, 0.9e-9, idx.size) * grid.spacing
+    expected = _loop_indices_of(grid, times)
+    np.testing.assert_array_equal(expected, idx)
+    got = grid.indices_of(times)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    assert [grid.index_of(t) for t in times[:10]] == expected[:10].tolist()
+    for off in (1.1e-9, 0.3, 0.5, -0.5):
+        t = grid.points[idx[:3]] + off * grid.spacing
+        with pytest.raises(ValueError):
+            _loop_indices_of(grid, t)
+        with pytest.raises(ValueError, match="not a grid point"):
+            grid.indices_of(t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.3, -0.25, 1.25])
+def test_indices_of_names_the_first_bad_time(bad):
+    g = make_grid(5, 0, 1)
+    with pytest.raises(ValueError, match=rf"time {bad!r} is not a grid point"):
+        g.indices_of([0.25, bad, 0.4])
+    with pytest.raises(ValueError, match=rf"time {bad!r} is not a grid point"):
+        g.index_of(bad)
+
+
+def test_indices_of_empty_input():
+    got = make_grid(5, 0, 1).indices_of([])
+    assert got.shape == (0,)
+    assert got.dtype == np.dtype(int)
+
+
 def _dataset(labels, fixed_prior=None):
     g = make_grid(2, 0, 1)
     curves = np.zeros((len(labels), 2))

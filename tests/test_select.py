@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rkfda import (
     BrownianBridgeKernel,
@@ -221,7 +222,10 @@ def _loop_select(source, config: SelectionConfig) -> SelectionResult:
         trace.append(best_psi)
         prev_psi = best_psi
     return SelectionResult(
-        points=grid.points[chosen], indices=np.array(chosen, dtype=int), psi_trace=trace
+        points=grid.points[chosen],
+        indices=np.array(chosen, dtype=int),
+        psi_trace=trace,
+        factor=np.linalg.cholesky(cov[np.ix_(chosen, chosen)]),
     )
 
 
@@ -230,6 +234,21 @@ def _assert_same_selection(source, config):
     slow = _loop_select(source, config)
     np.testing.assert_array_equal(fast.indices, slow.indices)
     np.testing.assert_allclose(fast.psi_trace, slow.psi_trace, rtol=1e-6)
+    np.testing.assert_allclose(fast.factor, slow.factor, rtol=1e-6, atol=1e-9 * np.abs(slow.factor).max())
+    _assert_factor_reproduces(fast, source)
+
+
+def _assert_factor_reproduces(selection, source):
+    """The selection's factor gives back the covariance at its points and the psi trace."""
+    if isinstance(source, OracleSource):
+        cov, mean = gram(source.kernel, selection.points), source.mean_diff
+    else:
+        cov, mean = pooled_cov(source, selection.points), class_moments(source).diff
+    factor = selection.factor
+    np.testing.assert_array_equal(factor, np.tril(factor))
+    np.testing.assert_allclose(factor @ factor.T, cov, rtol=1e-10)
+    w = scipy.linalg.solve_triangular(factor, mean[selection.indices], lower=True)
+    np.testing.assert_allclose(np.cumsum(w * w), selection.psi_trace, rtol=1e-8)
 
 
 # The bench's selection settings: d_max 10 with no early stop.
@@ -247,6 +266,15 @@ def test_scan_matches_loop_on_catalog(model_id):
 def test_scan_matches_loop_on_dense_grid(model_id):
     ds = gen_model_dataset(builtin_catalog()[model_id], 200, standard_grid(1000), (22, 0))
     _assert_same_selection(ds, _BENCH_CONFIG)
+    _assert_same_selection(oracle_source_from_dataset(ds, BrownianKernel()), _BENCH_CONFIG)
+
+
+def test_selection_result_factor_must_be_d_by_d():
+    args = dict(points=[0.25, 0.5], indices=[1, 2], psi_trace=[1.0, 2.0])
+    assert SelectionResult(**args, factor=np.eye(2)).factor.flags.writeable is False
+    for factor in (np.eye(3), np.ones(2), np.ones((2, 1))):
+        with pytest.raises(ValueError, match="factor"):
+            SelectionResult(**args, factor=factor)
 
 
 def test_scan_matches_loop_with_mask_delta_and_early_stop():
