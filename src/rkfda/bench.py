@@ -3,9 +3,11 @@
 Each run draws fresh training, validation and test samples from the model,
 fits every requested method on the training sample, fixes its hyperparameter
 (number of selected points, k, or truncation order) by validation accuracy,
-and scores the winner on the test sample.  Runs are independent tasks;
-results are keyed by run index before aggregation, so reports are identical
-no matter how many workers execute them.
+and scores the winner on the test sample.  Runs are independent tasks: a plan
+is one ordered list of (model, n, run) tasks, run in order in this thread or
+by one thread pool for the whole plan, and the results are aggregated per
+(model, n) cell in that order, so reports are identical no matter how many
+workers execute them.
 
 Validation scores every candidate of a method in one pass, with no refit
 per candidate:
@@ -24,16 +26,28 @@ chosen classifier is built for the test set.  A run whose training fails
 ``SingularMatrixError``) is recorded as failed for that method and excluded
 from the averages; any other exception is a fault and propagates.
 
-``RKFDA_THREADS`` caps the worker pool size; a value that is not an integer
-raises UsageError.
+While ``run_experiment`` or ``variable_recovery_histogram`` runs, every
+OpenBLAS loaded in the process is pinned to one thread, and its thread count
+is restored afterwards.  The calls are small, so OpenBLAS's own threads cost
+more in wake-ups than they save, and the pool's threads already use the
+cores.  The thread count is process-wide: concurrent calls from several user
+threads share the pin, and the count is restored when the last one returns.
+
+``RKFDA_THREADS`` caps the worker pool size; a value that is not an integer,
+or is below 1, raises UsageError.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -93,6 +107,8 @@ class ExperimentPlan:
             raise ValueError("d_max and centroid_r_max must be at least 1")
         if not self.k_grid or min(self.k_grid) < 1:
             raise ValueError("k_grid must hold at least one k, each at least 1")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -128,10 +144,81 @@ def _worker_count(plan: ExperimentPlan) -> int:
         cap = int(env) if env else None
     except ValueError:
         raise UsageError(f"RKFDA_THREADS must be an integer, got {env!r}") from None
-    requested = plan.workers if plan.workers is not None else (cap or 1)
-    if cap is not None:
-        requested = min(requested, cap)
-    return max(requested, 1)
+    if cap is None:
+        return plan.workers or 1
+    if cap < 1:
+        raise UsageError(f"RKFDA_THREADS must be at least 1, got {env!r}")
+    return min(plan.workers or cap, cap)
+
+
+# (get, set) thread-count symbols, first match per library: numpy's bundled
+# OpenBLAS (64-bit integers), scipy's bundled OpenBLAS, then a system OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+class _OpenBlas(NamedTuple):
+    path: str
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+def _loaded_openblas() -> list:
+    """Thread-count controls of every OpenBLAS mapped into this process.
+
+    Empty where ``/proc/self/maps`` does not exist or no OpenBLAS is loaded
+    (another BLAS, another operating system).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append(_OpenBlas(path, get, set_))
+                break
+    return found
+
+
+# The OpenBLAS thread count is process-wide, so the pin is too: the first
+# holder saves the counts and pins, the last one to leave restores them.
+_pin_lock = threading.Lock()
+_pin_holders = 0
+_pin_saved: list = []
+
+
+@contextmanager
+def _blas_pinned():
+    """Run the body with every loaded OpenBLAS on one thread, then restore."""
+    global _pin_holders, _pin_saved
+    with _pin_lock:
+        if _pin_holders == 0:
+            _pin_saved = [(lib, lib.get_threads()) for lib in _loaded_openblas()]
+            for lib, _ in _pin_saved:
+                lib.set_threads(1)
+        _pin_holders += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_holders -= 1
+            if _pin_holders == 0:
+                for lib, threads in _pin_saved:
+                    lib.set_threads(threads)
+                _pin_saved = []
 
 
 def _accuracies(decisions: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -188,30 +275,38 @@ def _one_run(model: ModelSpec, n: int, run_idx: int, plan: ExperimentPlan, grid:
 
 def run_experiment(plan: ExperimentPlan, catalog: dict | None = None) -> RunReport:
     """Execute the plan and aggregate per (model, n, method) across runs."""
+    workers = _worker_count(plan)
     catalog = catalog if catalog is not None else builtin_catalog()
     missing = [m for m in plan.models if m not in catalog]
     if missing:
         raise ValueError(f"models not in the catalog: {missing}")
     grid = standard_grid(plan.grid_count)
-    workers = _worker_count(plan)
+    tasks = [
+        (catalog[model_id], n, run_idx)
+        for model_id in plan.models
+        for n in plan.sizes
+        for run_idx in range(plan.runs)
+    ]
+
+    def run(task):
+        return _one_run(*task, plan, grid)
+
+    with _blas_pinned():
+        if workers == 1:
+            return _aggregate(plan, map(run, tasks))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # map yields in task order, whichever worker finishes first
+            return _aggregate(plan, pool.map(run, tasks))
+
+
+def _aggregate(plan: ExperimentPlan, results) -> RunReport:
+    """Report of the run results, an iterator in plan task order."""
     entries = []
     for model_id in plan.models:
-        model = catalog[model_id]
         for n in plan.sizes:
-            results = [None] * plan.runs
-            if workers == 1:
-                for run_idx in range(plan.runs):
-                    results[run_idx] = _one_run(model, n, run_idx, plan, grid)
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    futures = {
-                        pool.submit(_one_run, model, n, run_idx, plan, grid): run_idx
-                        for run_idx in range(plan.runs)
-                    }
-                    for future, run_idx in futures.items():
-                        results[run_idx] = future.result()
+            cell = list(islice(results, plan.runs))
             for method in plan.methods:
-                scored = [r[method] for r in results if r[method] is not None]
+                scored = [r[method] for r in cell if r[method] is not None]
                 accs = np.array([s[0] for s in scored])
                 params = np.array([s[1] for s in scored])
                 entries.append(
@@ -270,14 +365,15 @@ def variable_recovery_histogram(
     matched = np.zeros(runs, dtype=int)
     tol = match_steps * grid.spacing * (1.0 + 1e-9)
     config = SelectionConfig(d_max=d, rel_tol=0.0)
-    for run_idx in range(runs):
-        train = gen_model_dataset(model, n, grid, (seed, ent, n, run_idx, 0))
-        selection = greedy_select(train, config)
-        counts[selection.indices] += 1
-        if relevant:
-            matched[run_idx] = sum(
-                1 for t in relevant if np.min(np.abs(selection.points - t)) <= tol
-            )
+    with _blas_pinned():
+        for run_idx in range(runs):
+            train = gen_model_dataset(model, n, grid, (seed, ent, n, run_idx, 0))
+            selection = greedy_select(train, config)
+            counts[selection.indices] += 1
+            if relevant:
+                matched[run_idx] = sum(
+                    1 for t in relevant if np.min(np.abs(selection.points - t)) <= tol
+                )
     return HistogramReport(
         grid=grid, counts=counts, relevant=relevant, matched_per_run=matched, d=d, runs=runs
     )

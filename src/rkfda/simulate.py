@@ -285,17 +285,17 @@ def _process_paths(comp: _Component, grid: Grid, block: np.ndarray, end_normals:
     """
     spec, pts = comp.process, grid.points
     if isinstance(spec, OrnsteinUhlenbeckKernel):
-        # imported here: scipy.signal pulls in scipy.stats, most of the
-        # package's import time, and only this simulator needs it
-        import scipy.signal
-
         sigma = math.sqrt(spec.sigma2)
         rho = math.exp(-spec.theta * grid.spacing)
         innov = sigma * math.sqrt(1.0 - rho * rho)
-        # stationary start, then x[i] = rho*x[i-1] + innovation
+        # stationary start, then x[i] = rho*x[i-1] + innovation, one time step
+        # at a time on a time-major copy so each step reads contiguous memory
         block *= innov
         block[:, 0] *= sigma / innov
-        block[:] = scipy.signal.lfilter([1.0], [1.0, -rho], block, axis=1)
+        steps = np.ascontiguousarray(block.T)
+        for t in range(1, steps.shape[0]):
+            steps[t] += rho * steps[t - 1]
+        block[:] = steps.T
         return
     block *= _brownian_steps(pts)
     np.cumsum(block, axis=1, out=block)

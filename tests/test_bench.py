@@ -11,7 +11,9 @@ from rkfda.bench import (
     ExperimentPlan,
     _accuracies,
     _apply_method,
+    _blas_pinned,
     _knn_accuracies,
+    _loaded_openblas,
     run_experiment,
     variable_recovery_histogram,
 )
@@ -139,6 +141,153 @@ def test_non_integer_thread_cap_is_a_usage_error(monkeypatch, tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_thread_cap_below_one_is_a_usage_error(cap, monkeypatch, tmp_path, capsys):
+    from rkfda.cli import USAGE_EXIT, main
+
+    plan = tmp_path / "plan.ini"
+    plan.write_text("[plan]\nmodels = G2\nsizes = 30\nruns = 1\nworkers = 2\n")
+    monkeypatch.setenv("RKFDA_THREADS", cap)
+    assert main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")]) == USAGE_EXIT
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines()[-1] == "error_code=usage-error"
+    assert "RKFDA_THREADS" in captured.err
+    assert not (tmp_path / "r.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# OpenBLAS pinned to one thread while the bench runs
+# ---------------------------------------------------------------------------
+
+
+def _blas_threads() -> list:
+    return [lib.get_threads() for lib in _loaded_openblas()]
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """Every loaded OpenBLAS on two threads for the test, then as it was."""
+    libs = _loaded_openblas()
+    saved = [lib.get_threads() for lib in libs]
+    for lib in libs:
+        lib.set_threads(2)
+    try:
+        yield [2] * len(libs)
+    finally:
+        for lib, threads in zip(libs, saved):
+            lib.set_threads(threads)
+
+
+def _small_plan(workers):
+    return ExperimentPlan(
+        models=("G2", "L1-OU"), sizes=(30,), runs=3, test_size=80, validation_size=40,
+        methods=("RK-C", "kNN", "Centroid"), d_max=3, centroid_r_max=4, seed=6, workers=workers,
+    )
+
+
+def _record_blas_threads(monkeypatch) -> list:
+    """Patch the bench's dataset generator to record the BLAS thread counts it sees."""
+    import rkfda.bench
+
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(_blas_threads())
+        return gen_model_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(rkfda.bench, "gen_model_dataset", recording)
+    return seen
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_experiment_pins_blas_and_restores_it(workers, blas_at_two_threads, monkeypatch):
+    seen = _record_blas_threads(monkeypatch)
+    run_experiment(_small_plan(workers))
+    assert len(seen) == 2 * 3 * 3
+    assert all(counts == [1] * len(blas_at_two_threads) for counts in seen)
+    assert _blas_threads() == blas_at_two_threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blas_threads_are_restored_when_a_run_raises(workers, blas_at_two_threads, monkeypatch):
+    import rkfda.bench
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("fault inside a run")
+
+    monkeypatch.setattr(rkfda.bench, "_apply_method", broken)
+    with pytest.raises(RuntimeError, match="fault inside a run"):
+        run_experiment(_small_plan(workers))
+    assert _blas_threads() == blas_at_two_threads
+
+
+def test_histogram_pins_blas_and_restores_it(blas_at_two_threads, monkeypatch):
+    seen = _record_blas_threads(monkeypatch)
+    variable_recovery_histogram("G2", n=40, runs=3, d=2, grid=standard_grid(30), seed=2)
+    assert seen and all(counts == [1] * len(blas_at_two_threads) for counts in seen)
+    assert _blas_threads() == blas_at_two_threads
+
+
+def test_pin_without_openblas_is_a_no_op(blas_at_two_threads, monkeypatch, tmp_path):
+    import rkfda.bench
+
+    pinned = tmp_path / "pinned.csv"
+    io.write_report(run_experiment(_small_plan(2)), pinned)
+    monkeypatch.setattr(rkfda.bench, "_loaded_openblas", lambda: [])
+    seen = _record_blas_threads(monkeypatch)
+    unpinned = tmp_path / "unpinned.csv"
+    io.write_report(run_experiment(_small_plan(2)), unpinned)
+    assert all(counts == blas_at_two_threads for counts in seen)
+    assert unpinned.read_bytes() == pinned.read_bytes()
+
+
+def test_overlapping_pins_restore_when_the_last_one_leaves(blas_at_two_threads):
+    first, second = _blas_pinned(), _blas_pinned()
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)
+    assert _blas_threads() == [1] * len(blas_at_two_threads)
+    second.__exit__(None, None, None)
+    assert _blas_threads() == blas_at_two_threads
+
+
+def test_concurrent_pins_leave_blas_as_it_was(blas_at_two_threads):
+    import sys
+    import threading
+
+    seen_unpinned = []
+
+    def pin_often():
+        for _ in range(200):
+            with _blas_pinned():
+                if _blas_threads() != [1] * len(blas_at_two_threads):
+                    seen_unpinned.append(True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=pin_often) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not seen_unpinned
+    assert _blas_threads() == blas_at_two_threads
+
+
+def test_finder_finds_numpys_bundled_openblas():
+    import sys
+
+    bundled = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    if not sys.platform.startswith("linux") or not bundled:
+        pytest.skip("needs Linux and numpy's bundled OpenBLAS")
+    found = {Path(lib.path).resolve() for lib in _loaded_openblas()}
+    assert any(path.resolve() in found for path in bundled)
+
+
 def test_failed_runs_are_counted_not_fatal():
     # three samples can never give two per class, so linear training always fails
     catalog = {"SEP": _gauss_model("SEP", 12.0)}
@@ -191,14 +340,25 @@ def test_plan_validation():
 
 
 @pytest.mark.parametrize(
-    "bad", [{"k_grid": (0,)}, {"k_grid": (-1, 3)}, {"k_grid": ()}, {"d_max": 0}, {"centroid_r_max": 0}]
+    "bad",
+    [
+        {"k_grid": (0,)},
+        {"k_grid": (-1, 3)},
+        {"k_grid": ()},
+        {"d_max": 0},
+        {"centroid_r_max": 0},
+        {"workers": 0},
+        {"workers": -4},
+    ],
 )
 def test_plan_rejects_bad_hyperparameters(bad):
     with pytest.raises(ValueError):
         ExperimentPlan(models=("G2",), sizes=(30,), **bad)
 
 
-@pytest.mark.parametrize("line", ["k_grid = 0", "k_grid = -1 3", "d_max = 0", "centroid_r_max = 0"])
+@pytest.mark.parametrize(
+    "line", ["k_grid = 0", "k_grid = -1 3", "d_max = 0", "centroid_r_max = 0", "workers = 0", "workers = -4"]
+)
 def test_bad_plan_hyperparameter_is_a_parse_error(line, tmp_path, capsys):
     from rkfda.cli import PARSE_EXIT, main
 

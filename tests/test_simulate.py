@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,6 +332,30 @@ def test_datasets_match_golden_digests(key):
     model_id, count, seed_name = key
     ds = gen_model_dataset(builtin_catalog()[model_id], 25, standard_grid(count), GOLDEN_SEEDS[seed_name])
     assert _digest(ds) == GOLDEN_DIGESTS[key]
+
+
+def test_golden_digests_hold_with_blas_pinned():
+    from rkfda.bench import _blas_pinned
+
+    with _blas_pinned():
+        for (model_id, count, seed_name), digest in GOLDEN_DIGESTS.items():
+            ds = gen_model_dataset(builtin_catalog()[model_id], 25, standard_grid(count), GOLDEN_SEEDS[seed_name])
+            assert _digest(ds) == digest, (model_id, count, seed_name)
+
+
+def test_ou_simulation_does_not_import_scipy_signal():
+    # scipy.signal costs about half a second and 40 MB per process to import
+    code = (
+        "import sys\n"
+        "from rkfda.simulate import builtin_catalog, gen_model_dataset, standard_grid\n"
+        "gen_model_dataset(builtin_catalog()['L1-OU'], 20, standard_grid(100), 3)\n"
+        "print('scipy.signal' in sys.modules)\n"
+    )
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_golden_digests_cover_the_catalog():
