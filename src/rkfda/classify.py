@@ -11,9 +11,14 @@ a finite kernel expansion at those points.  :func:`rkc_decisions` gives the
 decisions of the rule on every prefix of a greedy selection from the
 selection's Cholesky factor.  ``KNNClassifier`` votes among the
 k nearest training curves in the quadrature-scaled Euclidean metric; an
-exact distance tie at the k-th place goes to the smaller training index, and
-:func:`knn_decisions` gives the votes of a whole k grid from one distance
-matrix.
+exact distance tie at the k-th place goes to the smaller training index.
+:func:`knn_decisions` gives the votes of a whole k grid from one matrix
+product, ``||x||^2 + ||y||^2 - 2 x . y``, and a screen: a row whose k-th and
+(k+1)-th squared distances lie further apart than twice a rounding bound tau
+has a certain neighbour set, and every other row (exact and near ties) is
+ranked again by ``cdist`` and (distance, index), so the decisions, tie rule
+included, are those of the exact rule.  Training and query curves must be
+finite.
 ``CentroidClassifier`` projects a curve onto a truncated eigenbasis contrast
 and assigns the class whose projected centroid is closer;
 :func:`centroid_decisions` decides for several truncation orders from one
@@ -98,7 +103,8 @@ class KNNClassifier:
 
     Neighbours rank by (distance, training index): an exact distance tie at
     the k-th place goes to the training curve with the smaller index.  A
-    tied vote (even k) goes to label 0.  See :func:`knn_decisions`.
+    tied vote (even k) goes to label 0.  Training curves must be finite.
+    See :func:`knn_decisions`.
     """
 
     grid: Grid
@@ -109,6 +115,7 @@ class KNNClassifier:
     def __post_init__(self):
         object.__setattr__(self, "train_curves", _frozen_array(self.train_curves))
         object.__setattr__(self, "train_labels", _frozen_array(self.train_labels, dtype=int))
+        _check_finite(self.train_curves)
         n = self.train_curves.shape[0]
         if not 1 <= self.k <= n:
             raise ValueError("k must lie in [1, n]")
@@ -210,22 +217,121 @@ def rkc_decisions(dataset: LabeledDataset, selection: SelectionResult, curves) -
     return (scores > 0.0).astype(int)
 
 
+# Units of the kNN screen's rounding bound: float64 machine epsilon (twice the
+# unit roundoff u) and the smallest subnormal, the absolute error a rounded
+# product or sum can add under gradual underflow.
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
+
+
+def _check_finite(values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("curve values must be finite")
+
+
+def _squared_distances(x, y):
+    """``||x_i||^2 + ||y_j||^2 - 2 x_i . y_j`` for every pair of rows, and both squared norms.
+
+    A function of its own so that the scaled curves it is given are freed
+    before the caller's partial sort allocates.
+    """
+    xx = np.einsum("ij,ij->i", x, x)
+    yy = np.einsum("ij,ij->i", y, y)
+    d2 = x @ y.T
+    d2 *= -2.0
+    d2 += xx[:, None]
+    d2 += yy
+    return d2, xx, yy
+
+
 def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndarray:
     """kNN decisions for every k in ``ks`` from one distance matrix.
 
     Returns an int array of shape ``(len(ks), len(curves))``; row i holds the
     vote of the ``ks[i]`` nearest training curves, label 1 when more than
-    half of them are 1.  Distances are taken once, one partial sort keeps the
-    ``max(ks)`` nearest curves of each row, and a cumulative sum of their
-    labels in (distance, training index) order gives every vote.  Rows in
-    which further curves tie the ``max(ks)``-th distance are ranked in full,
-    so exact ties always go to the smaller training index.
+    half of them are 1.  The decisions are those of the exact rule,
+    :func:`_knn_decisions_exact`, bit for bit; non-finite curves raise
+    ValueError.
+
+    On the sqrt(dt)-scaled query curves x_i and training curves y_j the
+    squared distances come from one matrix product, ``F_ij = ||x_i||^2 +
+    ||y_j||^2 - 2 x_i . y_j``, and one partial sort keeps the ``max(ks) + 1``
+    smallest of each row.  The vote at k depends only on the set of the k
+    nearest curves, not on their order, so a row is decided here when, at
+    every k in ``ks`` below n, the gap between its k-th and (k+1)-th smallest
+    F exceeds ``2 tau_i``, with
+
+        tau_i = 8 (G + 4) (eps M_i + eta),   M_i = ||x_i||^2 + max_j ||y_j||^2,
+
+    eps the float64 epsilon (2u for the unit roundoff u) and eta the
+    smallest subnormal.  Every other row, exact and near ties included, goes
+    through the exact rule.
+
+    Why the gap makes the set certain.  Let D be the exact squared distance
+    of the scaled curves, so D <= (||x|| + ||y||)^2 <= 2M.  To first order
+    in u, and with eta covering underflow:
+
+    - the product: ``||x||^2``, ``||y||^2`` and ``x . y`` are sums of G
+      products, each within gamma_G ~ Gu of its magnitude in any summation
+      order, BLAS blocking and threading included; the two additions that
+      form F add u each on terms summing to at most 2M.  So
+      |F - D| <= (2G + 4) u M;
+    - the exact rule sums G rounded squares of rounded differences, so its
+      squared distance S obeys |S - D| <= (G + 2) u D <= 2 (G + 2) u M;
+    - the exact rule ranks by ``sqrt(S)`` rounded, which can merge two
+      values of S, sending them to the index rule, only when they differ by
+      less than about 4u S <= 8u M.
+
+    Take j among the k smallest F and l outside them.  Then F_l - F_j >
+    2 tau_i, so S_l - S_j > 2 tau_i - 2 (2G + 4) u M - 4 (G + 2) u M, which
+    exceeds 8u M for tau_i >= (4G + 12) u M; the bound above is more than
+    four times that.  The exact rule then ranks j strictly before l, whatever
+    the index order, and both rules vote with the same set.  The bounds hold
+    only without overflow, so a row whose kept F or tau are not all finite
+    falls back too.
     """
     ks = np.asarray(ks, dtype=int)
     train_labels = np.asarray(train_labels)
     n = train_labels.size
     if ks.size == 0 or ks.min() < 1 or ks.max() > n:
         raise ValueError("k must lie in [1, n]")
+    curves = np.asarray(curves, dtype=float)
+    train_curves = np.asarray(train_curves, dtype=float)
+    _check_finite(curves)
+    _check_finite(train_curves)
+    k_max = int(ks.max())
+    scale = math.sqrt(grid.spacing)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the screen
+        d2, xx, yy = _squared_distances(curves * scale, train_curves * scale)
+        m = min(k_max + 1, n)
+        near = np.argpartition(d2, m - 1, axis=1)[:, :m]
+        near_d2 = np.take_along_axis(d2, near, axis=1)
+        order = np.argsort(near_d2, axis=1)
+        near = np.take_along_axis(near, order, axis=1)
+        near_d2 = np.take_along_axis(near_d2, order, axis=1)
+        gaps = np.diff(near_d2, axis=1)[:, ks[ks < n] - 1]
+        tau = 8 * (grid.count + 4) * (_EPS * (xx + yy.max()) + _TINY)
+        sure = np.isfinite(near_d2).all(axis=1) & np.all(gaps > 2 * tau[:, None], axis=1)
+    cum = np.cumsum(train_labels[near[:, :k_max]], axis=1)
+    out = (cum[:, ks - 1].T * 2 > ks[:, None]).astype(int)
+    unsure = np.flatnonzero(~sure)
+    if unsure.size:
+        out[:, unsure] = _knn_decisions_exact(grid, train_curves, train_labels, curves[unsure], ks)
+    return out
+
+
+def _knn_decisions_exact(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndarray:
+    """The kNN rule that :func:`knn_decisions` reproduces, from exact ranks.
+
+    Same arguments and result.  Distances come from ``cdist`` on the
+    sqrt(dt)-scaled curves; one partial sort keeps the ``max(ks)`` nearest
+    curves of each row, and a cumulative sum of their labels in (distance,
+    training index) order gives every vote.  Rows in which further curves
+    tie the ``max(ks)``-th distance are ranked in full, so exact ties always
+    go to the smaller training index.
+    """
+    ks = np.asarray(ks, dtype=int)
+    train_labels = np.asarray(train_labels)
     k_max = int(ks.max())
     scale = math.sqrt(grid.spacing)
     dist = scipy.spatial.distance.cdist(np.asarray(curves) * scale, np.asarray(train_curves) * scale)
@@ -332,6 +438,7 @@ def _as_batch(classifier: TrainedClassifier, x) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != classifier.grid.count:
         raise ValueError("curve length does not match the training grid")
+    _check_finite(arr)
     return arr
 
 

@@ -53,6 +53,19 @@ class UsageError(RkfdaError, ValueError):
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    """A read-only array of ``values`` with the given dtype.
+
+    An ndarray that already has that dtype, is read-only and owns its data
+    is kept as is: whoever froze it has handed it over.  Anything else is
+    copied, so a caller's writeable array never aliases the result.
+    """
+    if (
+        type(values) is np.ndarray
+        and values.dtype == dtype
+        and not values.flags.writeable
+        and values.flags.owndata
+    ):
+        return values
     a = np.array(values, dtype=dtype)
     a.setflags(write=False)
     return a

@@ -608,6 +608,7 @@ def gen_model_dataset(model: ModelSpec, n: int, grid: Grid, seed) -> LabeledData
             _component_paths(comp, grid, curves, rows, end_normals, slopes)
     if logistic:
         labels = (uniforms < expit(model.link_values(curves, grid))).astype(int)
+    curves.setflags(write=False)  # the dataset keeps this buffer without a copy
     return LabeledDataset(grid=grid, curves=curves, labels=labels, fixed_prior=model.prior)
 
 

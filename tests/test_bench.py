@@ -20,8 +20,10 @@ from rkfda.bench import (
 from rkfda.classify import (
     KNNClassifier,
     centroid_classifiers,
+    _knn_decisions_exact,
     centroid_decisions,
     error_rate,
+    knn_decisions,
     rkc_decisions,
     train_rkc,
 )
@@ -276,6 +278,18 @@ def test_concurrent_pins_leave_blas_as_it_was(blas_at_two_threads):
     assert not any(t.is_alive() for t in threads)
     assert not seen_unpinned
     assert _blas_threads() == blas_at_two_threads
+
+
+def test_knn_decisions_do_not_depend_on_blas_threads(blas_at_two_threads):
+    # the product rounds differently on one thread and on two; the screen's
+    # fallback must hide that
+    train, val, _ = _samples("G4", 1000, 1000, 1, seed=24)
+    args = (train.grid, train.curves, train.labels, val.curves, DEFAULT_K_GRID)
+    threaded = knn_decisions(*args)
+    with _blas_pinned():
+        pinned = knn_decisions(*args)
+    np.testing.assert_array_equal(threaded, pinned)
+    np.testing.assert_array_equal(threaded, _knn_decisions_exact(*args))
 
 
 def test_finder_finds_numpys_bundled_openblas():

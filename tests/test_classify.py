@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ from rkfda import (
 from rkfda.bench import ExperimentPlan, _apply_method, _knn_accuracies
 from rkfda.classify import (
     CentroidClassifier,
+    KNNClassifier,
+    _knn_decisions_exact,
     centroid_classifiers,
     centroid_decisions,
     knn_decisions,
@@ -231,6 +234,154 @@ def test_knn_decisions_reject_bad_k():
     for ks in ([], [0], [1, 5]):
         with pytest.raises(ValueError):
             knn_decisions(ds.grid, ds.curves, ds.labels, np.zeros((1, 2)), ks)
+
+
+# The screened kNN rule against the exact one it reproduces.
+
+ODD_KS = list(range(1, 22, 2))
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """Count the query rows that knn_decisions sends to the exact rule."""
+    module = importlib.import_module("rkfda.classify")
+    exact = module._knn_decisions_exact
+    rows = []
+
+    def counting(grid, train_curves, train_labels, curves, ks):
+        rows.append(len(curves))
+        return exact(grid, train_curves, train_labels, curves, ks)
+
+    monkeypatch.setattr(module, "_knn_decisions_exact", counting)
+    return rows
+
+
+def _assert_screen_is_exact(grid, train_curves, train_labels, curves, ks):
+    got = knn_decisions(grid, train_curves, train_labels, curves, ks)
+    want = _knn_decisions_exact(grid, train_curves, train_labels, curves, ks)
+    np.testing.assert_array_equal(got, want)
+    return got
+
+
+@pytest.mark.parametrize("n", [50, 1000])
+def test_knn_screen_matches_the_exact_rule_on_the_catalog(n):
+    grid = standard_grid(100)
+    for model_id, model in sorted(builtin_catalog().items()):
+        train = gen_model_dataset(model, n, grid, (31, n, 0))
+        query = gen_model_dataset(model, 500, grid, (31, n, 1))
+        _assert_screen_is_exact(grid, train.curves, train.labels, query.curves, ODD_KS)
+
+
+@pytest.mark.parametrize("model_id", ["G4", "L1-B"])
+def test_knn_screen_matches_the_exact_rule_on_a_dense_grid(model_id):
+    grid = standard_grid(1000)
+    model = builtin_catalog()[model_id]
+    train = gen_model_dataset(model, 1000, grid, (32, 0))
+    query = gen_model_dataset(model, 500, grid, (32, 1))
+    _assert_screen_is_exact(grid, train.curves, train.labels, query.curves, ODD_KS)
+
+
+def _pairs(rng, twin, n_pairs=40, count=8):
+    """Training curves in pairs with opposite labels, the twin from ``twin``, shuffled."""
+    base = rng.normal(size=(n_pairs, count))
+    curves = np.vstack([base, twin(base)])
+    labels = np.repeat([0, 1], n_pairs)
+    perm = rng.permutation(2 * n_pairs)
+    return make_grid(count, 0, 1), curves[perm], labels[perm]
+
+
+def test_knn_screen_sends_duplicates_straddling_k_to_the_exact_rule(fallback_rows):
+    rng = np.random.default_rng(33)
+    grid, curves, labels = _pairs(rng, lambda base: base.copy())
+    query = rng.normal(size=(200, grid.count))
+    # at every odd k the k-th and (k+1)-th neighbours are copies of one curve
+    got = _assert_screen_is_exact(grid, curves, labels, query, ODD_KS)
+    assert sum(fallback_rows) == len(query)
+    # the index rule decides: the first copy of the nearest curve is the 1-NN
+    first = np.argsort(np.linalg.norm(query[:, None] - curves[None], axis=2), axis=1, kind="stable")[:, 0]
+    np.testing.assert_array_equal(got[0], labels[first])
+
+
+@pytest.mark.parametrize("ks", [[1], ODD_KS])
+def test_knn_screen_sends_curves_one_ulp_apart_to_the_exact_rule(ks, fallback_rows):
+    rng = np.random.default_rng(34)
+
+    def nudged(base):
+        twin = base.copy()
+        cols = rng.integers(0, base.shape[1], size=base.shape[0])
+        rows = np.arange(base.shape[0])
+        twin[rows, cols] = np.nextafter(twin[rows, cols], np.inf)
+        return twin
+
+    grid, curves, labels = _pairs(rng, nudged)
+    query = rng.normal(size=(500, grid.count))
+    _assert_screen_is_exact(grid, curves, labels, query, ks)
+    assert sum(fallback_rows) == len(query)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_knn_screen_falls_back_under_underflow_and_overflow(scale, fallback_rows):
+    rng = np.random.default_rng(35)
+    grid = make_grid(8, 0, 1)
+    curves = rng.normal(size=(60, 8)) * scale
+    labels = rng.integers(0, 2, size=60)
+    query = rng.normal(size=(100, 8)) * scale
+    _assert_screen_is_exact(grid, curves, labels, query, ODD_KS)
+    assert sum(fallback_rows) == len(query)
+
+
+@pytest.mark.parametrize("n", [20, 21])
+def test_knn_screen_with_k_equal_to_n(n):
+    rng = np.random.default_rng(36)
+    grid = make_grid(5, 0, 1)
+    curves = rng.normal(size=(n, 5))
+    labels = rng.integers(0, 2, size=n)
+    query = rng.normal(size=(50, 5))
+    got = _assert_screen_is_exact(grid, curves, labels, query, [1, 3, n])
+    assert np.all(got[-1] == int(labels.sum() * 2 > n))
+
+
+def test_knn_screen_on_a_single_query_row():
+    grid = standard_grid(100)
+    model = builtin_catalog()["G4"]
+    train = gen_model_dataset(model, 200, grid, (37, 0))
+    query = gen_model_dataset(model, 1, grid, (37, 1))
+    assert _assert_screen_is_exact(grid, train.curves, train.labels, query.curves, ODD_KS).shape == (11, 1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_knn_screen_on_exact_distance_ties(seed, fallback_rows):
+    ds, expected = _tied_neighbours_case(seed)
+    query = np.vstack([np.zeros((1, 4)), np.random.default_rng(seed).normal(size=(30, 4))])
+    ks = list(range(1, ds.size + 1))
+    got = _assert_screen_is_exact(ds.grid, ds.curves, ds.labels, query, ks)
+    assert [got[k - 1, 0] for k in expected] == list(expected.values())
+    assert fallback_rows  # the origin's ties at least
+
+
+def test_knn_training_curves_must_be_finite():
+    g = make_grid(2, 0, 1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            KNNClassifier(grid=g, train_curves=[[0.0, 1.0], [bad, 0.0]], train_labels=[0, 1], k=1)
+
+
+def test_query_curves_must_be_finite():
+    g = make_grid(2, 0, 1)
+    ds = _dataset([[0.0, 0.0], [0.1, 0.0]], [[1.0, 1.0], [1.1, 1.0]], grid=g)
+    bad = np.array([[np.nan, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        knn_decisions(g, ds.curves, ds.labels, bad, [1])
+    for clf in (train_knn(ds, 1), train_rkc(ds, g.points[:1]), train_centroid(ds, 1)):
+        with pytest.raises(ValueError, match="finite"):
+            classify(clf, [np.inf, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            classify_batch(clf, bad)
+
+
+def test_train_knn_keeps_the_simulated_curves_without_a_copy():
+    ds = gen_model_dataset(builtin_catalog()["G4"], 50, standard_grid(20), 38)
+    assert np.shares_memory(ds.curves, train_knn(ds, 3).train_curves)
 
 
 def test_centroid_r1_reduces_to_projection_sign():

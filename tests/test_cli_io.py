@@ -99,6 +99,31 @@ def test_read_classifier_rejects_a_point_off_the_grid(tmp_path, bad):
         io.read_classifier(path)
 
 
+def _knn_file_with_a_bad_curve(tmp_path, bad):
+    path, _ = _toy_file(tmp_path, n=20, grid_count=4)
+    model = tmp_path / "knn.txt"
+    assert main(["train", "--data", str(path), "--method", "knn", "--k", "3", "--out", str(model)]) == 0
+    lines = model.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("curve "))
+    lines[i] = f"curve {bad} 1 2 3"
+    model.write_text("\n".join(lines) + "\n")
+    return model, path
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_classifier_rejects_a_non_finite_knn_curve(tmp_path, bad):
+    model, _ = _knn_file_with_a_bad_curve(tmp_path, bad)
+    with pytest.raises(DatasetFormatError, match="finite"):
+        io.read_classifier(model)
+
+
+def test_cli_predict_with_a_non_finite_knn_curve_is_a_parse_error(tmp_path, capsys):
+    model, data = _knn_file_with_a_bad_curve(tmp_path, "nan")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--data", str(data)]) == 3
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "error_code=parse-error"
+
+
 def test_plan_round_trip(tmp_path):
     path = tmp_path / "plan.ini"
     path.write_text(

@@ -128,3 +128,29 @@ def test_dataset_is_immutable():
     ds = _dataset([0, 1])
     with pytest.raises(ValueError):
         ds.curves[0, 0] = 1.0
+
+
+def test_frozen_owned_array_is_kept_without_a_copy():
+    curves = np.arange(6.0).reshape(3, 2).copy()  # reshape alone gives a view
+    curves.setflags(write=False)
+    ds = LabeledDataset(grid=make_grid(2, 0, 1), curves=curves, labels=np.array([0, 1, 1]))
+    assert ds.curves is curves
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda a: a,  # writeable
+        lambda a: a[:, :],  # a read-only view: the base could still be written
+        lambda a: a.astype(np.float32),  # another dtype
+    ],
+)
+def test_other_curve_arrays_are_copied(make):
+    base = np.arange(6.0).reshape(3, 2).copy()
+    curves = make(base)
+    if curves is not base:
+        curves.setflags(write=False)
+    ds = LabeledDataset(grid=make_grid(2, 0, 1), curves=curves, labels=np.array([0, 1, 1]))
+    assert not np.shares_memory(ds.curves, base)
+    base[0, 0] = 99.0
+    assert ds.curves[0, 0] == 0.0 and not ds.curves.flags.writeable
