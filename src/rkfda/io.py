@@ -16,6 +16,7 @@ are plain CSV so any plotting tool can consume them.
 from __future__ import annotations
 
 import configparser
+import math
 
 import numpy as np
 
@@ -50,7 +51,11 @@ def write_dataset(dataset: LabeledDataset, path) -> None:
 
 
 def read_dataset(path, fixed_prior: float | None = None) -> LabeledDataset:
-    """Parse a dataset CSV; format errors carry the offending line number."""
+    """Parse a dataset CSV; format errors carry the offending line number.
+
+    A NaN or infinite curve value is a format error naming its line and
+    column (the label is column 1).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].strip():
@@ -82,9 +87,15 @@ def read_dataset(path, fixed_prior: float | None = None) -> LabeledDataset:
         if cells[0] not in ("0", "1"):
             raise DatasetFormatError(f"{path}: line {lineno}: label must be 0 or 1")
         try:
-            rows.append([float(c) for c in cells[1:]])
+            row = [float(c) for c in cells[1:]]
         except ValueError:
             raise DatasetFormatError(f"{path}: line {lineno}: non-numeric curve value") from None
+        if not all(map(math.isfinite, row)):
+            col = next(j for j, value in enumerate(row) if not math.isfinite(value)) + 2
+            raise DatasetFormatError(
+                f"{path}: line {lineno}: column {col}: curve value {cells[col - 1].strip()} is not finite"
+            )
+        rows.append(row)
         labels.append(int(cells[0]))
     if not rows:
         raise DatasetFormatError(f"{path}: no data rows")

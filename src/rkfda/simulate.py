@@ -15,16 +15,23 @@ Every curve gets its own counter-derived RNG stream keyed by
 (entropy, class, index), so generation is reproducible bit-for-bit no matter
 how work is scheduled: curve ``i`` of class ``y`` draws from
 ``PCG64(SeedSequence(seed, spawn_key=(y, i)))``.  The seed words of all
-curves come from one vectorized pass of the SeedSequence hash
-(``_spawn_seed_words``), so building a curve's stream costs one ``PCG64``
-construction rather than a ``SeedSequence`` per curve.  The per-curve loop
-only draws, in a fixed order: the mixture component, the path's standard
-normals (written straight into the output), the bridge's endpoint normal,
-any random slopes, and the logistic uniform.  Everything else -- step
-scaling and ``cumsum``, bridge pinning, the OU recursion, trends and the
-logistic link -- runs on blocks of rows of the output, in place.  The
-smoothed-Brownian product stays one ``weights @ row`` per curve: a batched
-matrix product rounds differently and would change the data.
+curves of a dataset come from one pass of the SeedSequence hash
+(``_spawn_seed_words``): the entropy words, shared by every curve, are
+hashed once as Python ints, and only the two key words (class and index)
+run on (curves, 4) uint32 arrays.  Building a curve's stream then costs one
+``PCG64`` construction rather than a ``SeedSequence`` per curve.  The
+per-curve loop only draws, in a fixed order: the mixture component (a
+bisection of the law's cumulative weights), the path's standard normals
+(written straight into the output), the bridge's endpoint normal, any
+random slopes, and the logistic uniform.  Everything else -- step scaling
+and ``cumsum``, bridge pinning, the OU recursion, the smoothing product,
+trends and the logistic link -- runs on blocks of rows of the output, in
+place.  The smoothed-Brownian product is a stack of matrix-vector products,
+``np.matmul(weights, block[:, :, None])``, which numpy runs as one gemv per
+row and so rounds exactly as ``weights @ row`` does; one matrix product
+over the block would round differently and change the data.  The smoothing
+matrix is cached read-only by the grid's point values and the bandwidth,
+so the datasets of a plan, and the threads that make them, share it.
 
 The built-in catalog ships as a plain-text file, ``models.catalog``, parsed
 by :func:`parse_catalog`.
@@ -33,8 +40,10 @@ by :func:`parse_catalog`.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
 from typing import Union
@@ -233,10 +242,22 @@ def _brownian_steps(points: np.ndarray) -> np.ndarray:
 
 
 def smoothing_matrix(grid: Grid, bandwidth: float) -> np.ndarray:
-    """Row-normalized Gaussian weights; renormalization handles the boundaries."""
-    d = grid.points[:, None] - grid.points[None, :]
+    """Row-normalized Gaussian weights; renormalization handles the boundaries.
+
+    The read-only result is cached by the grid's point values and the
+    bandwidth, so grids with equal points share one matrix.
+    """
+    return _smoothing_matrix(grid.points.tobytes(), float(bandwidth))
+
+
+@functools.lru_cache(maxsize=4)  # a G = 1000 matrix takes 8 MB
+def _smoothing_matrix(points: bytes, bandwidth: float) -> np.ndarray:
+    pts = np.frombuffer(points)
+    d = pts[:, None] - pts[None, :]
     w = np.exp(-0.5 * (d / bandwidth) ** 2)
-    return w / w.sum(axis=1, keepdims=True)
+    w /= w.sum(axis=1, keepdims=True)
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
@@ -303,9 +324,9 @@ def _process_paths(comp: _Component, grid: Grid, block: np.ndarray, end_normals:
         b_end = block[:, -1] + (math.sqrt(comp.tail) * end_normals if comp.tail else 0.0)
         block -= np.multiply.outer(b_end, pts / spec.t_max)
     elif comp.weights is not None:
-        for row in block:
-            # one matrix-vector product per curve: a batched product rounds differently
-            row[:] = comp.weights @ row
+        # a stack of matrix-vector products (numpy runs one gemv per row), not
+        # one matrix product: a gemm rounds differently and would change the data
+        block[:] = np.matmul(comp.weights, block[:, :, None])[:, :, 0]
 
 
 def gen_process(spec: ProcessSpec, grid: Grid, rng: np.random.Generator) -> np.ndarray:
@@ -446,6 +467,23 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# the same as 0-d uint32 arrays, which numpy combines with arrays fastest
+_MIX_L32, _MIX_R32, _SHIFT32 = (np.array(v, dtype=np.uint32) for v in (_MIX_MULT_L, _MIX_MULT_R, 16))
+
+
+def _hash_sequence(init: int, mult: int, count: int) -> list[int]:
+    """The first ``count`` values of a hash constant: init, init*mult, ... (mod 2**32)."""
+    values = [init]
+    for _ in range(count - 1):
+        values.append(values[-1] * mult & _MASK32)
+    return values
+
+
+# the output stage hashes pool word k % 4 with the k-th and (k+1)-th hash_b,
+# laid out (2, 4) so that it broadcasts against the pool
+_HASH_B = np.array(_hash_sequence(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1), dtype=np.uint32)
+_OUT_XOR = _HASH_B[:-1].reshape(2, _POOL_SIZE)
+_OUT_MULT = _HASH_B[1:].reshape(2, _POOL_SIZE)
 
 
 def _entropy_words(value) -> list[int]:
@@ -464,54 +502,72 @@ def _entropy_words(value) -> list[int]:
     raise TypeError(f"seed must be an int or a sequence of ints, not {type(value).__name__}")
 
 
-def _spawn_seed_words(entropy, label: int, indices) -> np.ndarray:
+def _key_column(values, rows: int) -> np.ndarray:
+    """Spawn-key words as a uint32 column: one per row, or one row for all."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu" or values.ndim > 1 or values.size not in (1, rows):
+        raise ValueError("spawn key words must be integers, one for all rows or one per row")
+    if (values >> 32).any():  # nonzero for a negative word or one of 2**32 or more
+        raise ValueError("spawn key words must lie in [0, 2**32)")
+    return values.astype(np.uint32).reshape(-1, 1)
+
+
+def _spawn_seed_words(entropy, labels, indices) -> np.ndarray:
     """PCG64 seed words of the streams keyed (entropy, label, i), one row per i.
 
-    Row r equals ``SeedSequence(entropy, spawn_key=(label, indices[r]))
+    ``labels`` is one label for all rows or one per row of ``indices``.  Row
+    r equals ``SeedSequence(entropy, spawn_key=(labels[r], indices[r]))
     .generate_state(4, np.uint64)``: the SeedSequence hash run once over all
-    rows in uint32 arithmetic.  A label or index of 2**32 or more would take
-    a second key word and raises ``ValueError``.
+    rows.  A label or index of 2**32 or more would take a second key word
+    and raises ``ValueError``.
     """
-    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-    if not 0 <= label <= _MASK32 or np.any((indices < 0) | (indices > _MASK32)):
-        raise ValueError("spawn key words must lie in [0, 2**32)")
+    indices = np.asarray(indices).reshape(-1)
+    key = (_key_column(labels, indices.size), _key_column(indices, indices.size))
     run = _entropy_words(entropy)
     run += [0] * (_POOL_SIZE - len(run))  # SeedSequence pads the run entropy when spawned
-    words = run + [label, indices.astype(np.uint32)]
+    # hashmix call j xors with hash_a[j] and multiplies by hash_a[j + 1]:
+    # 4 calls per entropy word, then 4 per key word, one per pool word
+    hash_a = _hash_sequence(_INIT_A, _MULT_A, _POOL_SIZE * (len(run) + len(key)) + 1)
+    calls = zip(hash_a, hash_a[1:])
 
-    # Every step masks to 32 bits, so the words shared by all rows stay
-    # Python ints and only the index word's steps run on arrays.
-    hash_a = _INIT_A
-
+    # The entropy words are shared by all rows: hash them as Python ints,
+    # masking to 32 bits.
     def hashmix(value):
-        nonlocal hash_a
-        value = value ^ hash_a
-        hash_a = hash_a * _MULT_A & _MASK32
-        value = value * hash_a & _MASK32
+        xor, mult = next(calls)
+        value = (value ^ xor) * mult & _MASK32
         return value ^ (value >> 16)
 
     def mix(x, y):
-        result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
         return result ^ (result >> 16)
 
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    pool = [hashmix(w) for w in run[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
+    for word in run[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
 
-    state = np.empty((indices.size, 8), dtype=np.uint64)
-    hash_b = _INIT_B
-    for k in range(8):
-        value = pool[k % _POOL_SIZE] ^ hash_b
-        hash_b = hash_b * _MULT_B & _MASK32
-        value = value * hash_b & _MASK32
-        state[:, k] = value ^ (value >> 16)
-    # uint32 pairs (low, high) make the four uint64 words
-    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+    # The key words differ by row: hash them on uint32 arrays, which wrap
+    # modulo 2**32 by themselves.  A key word mixes into the 4 pool words
+    # with 4 successive hashmix calls, so one (rows, 4) pass per word.
+    pool = np.array(pool, dtype=np.uint32)
+    key_hash = np.array(hash_a[-_POOL_SIZE * len(key) - 1 :], dtype=np.uint32)
+    key_xor, key_mult = key_hash[:-1].reshape(len(key), -1), key_hash[1:].reshape(len(key), -1)
+    for word, xor, mult in zip(key, key_xor, key_mult):
+        value = (word ^ xor) * mult
+        value ^= value >> _SHIFT32
+        pool = _MIX_L32 * pool - _MIX_R32 * value
+        pool ^= pool >> _SHIFT32
+
+    # output word 4h + k hashes pool word k; uint32 pairs (low, high) make
+    # the four uint64 words, read little-endian as SeedSequence does
+    state = (pool[:, None, :] ^ _OUT_XOR) * _OUT_MULT
+    state ^= state >> _SHIFT32
+    state = state.reshape(-1, 2 * _POOL_SIZE).astype("<u4", copy=False)
+    return state.view("<u8").astype(np.uint64, copy=False)
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
@@ -528,14 +584,6 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
 
 def _generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
-
-
-def _pick_component(rng: np.random.Generator, weights: tuple) -> int:
-    if len(weights) == 1:
-        return 0
-    # cumsum may fall a few ulp short of 1.0; clamp the last cell
-    idx = int(np.searchsorted(np.cumsum(weights), rng.random(), side="right"))
-    return min(idx, len(weights) - 1)
 
 
 # rows transformed together: bounds the temporaries of the block transforms
@@ -577,36 +625,39 @@ def gen_model_dataset(model: ModelSpec, n: int, grid: Grid, seed) -> LabeledData
     else:
         raise TypeError(f"unknown model kind {type(model).__name__}")
     components = [[_component(c.process, c.trend, grid) for c in law.components] for law in laws]
-    words = np.empty((n, 4), dtype=np.uint64)
-    for y in range(len(laws)):
-        rows = np.flatnonzero(keys == y)
-        words[rows] = _spawn_seed_words(seed, y, rows)
+    # a mixture picks its component by bisecting the cumulative weights;
+    # cumsum may fall a few ulp short of 1.0, so the last cell is clamped
+    cumulative = [np.cumsum(law.weights).tolist() if len(law.weights) > 1 else None for law in laws]
+    words = _spawn_seed_words(seed, keys, np.arange(n))
 
     # per curve only the draws, in stream order; the output holds the normals
     curves = np.empty((n, grid.count))
-    picks = np.empty(n, dtype=int)
+    picks = []
     end_normals = np.zeros(n)
     slopes = np.zeros((n, max(len(c.slope_sds) for law in components for c in law)))
-    uniforms = np.empty(n)
-    logistic = isinstance(model, LogisticModel)
-    for i in range(n):
-        rng = _generator(words[i])
-        y = keys[i]
-        picks[i] = c = _pick_component(rng, laws[y].weights)
+    uniforms = np.empty(n) if isinstance(model, LogisticModel) else None
+    generator, pcg64 = np.random.Generator, np.random.PCG64  # looked up once, not per curve
+    for i, (w, y, out) in enumerate(zip(words, keys.tolist(), curves)):
+        rng = generator(pcg64(_SeedWords(w)))
+        cum = cumulative[y]
+        c = 0 if cum is None else min(bisect_right(cum, rng.random()), len(cum) - 1)
+        picks.append(c)
+        rng.standard_normal(out=out)
         comp = components[y][c]
-        rng.standard_normal(out=curves[i])
         if comp.tail:
             end_normals[i] = rng.standard_normal()
-        for k, sd in enumerate(comp.slope_sds):
-            slopes[i, k] = rng.normal(0.0, sd)
-        if logistic:
+        if comp.slope_sds:
+            for k, sd in enumerate(comp.slope_sds):
+                slopes[i, k] = rng.normal(0.0, sd)
+        if uniforms is not None:
             uniforms[i] = rng.random()
 
+    picks = np.array(picks)
     for y, law_components in enumerate(components):
         for c, comp in enumerate(law_components):
             rows = np.flatnonzero((keys == y) & (picks == c))
             _component_paths(comp, grid, curves, rows, end_normals, slopes)
-    if logistic:
+    if uniforms is not None:
         labels = (uniforms < expit(model.link_values(curves, grid))).astype(int)
     curves.setflags(write=False)  # the dataset keeps this buffer without a copy
     return LabeledDataset(grid=grid, curves=curves, labels=labels, fixed_prior=model.prior)

@@ -255,6 +255,23 @@ def test_cli_dataset_parse_failure(tmp_path, capsys):
     assert capsys.readouterr().out.strip().splitlines()[-1] == "error_code=parse-error"
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_read_dataset_rejects_a_non_finite_curve_value(tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"label,t_0.5,t_1\n0,1,2\n1,2,{bad}\n")
+    with pytest.raises(DatasetFormatError, match=f"line 3: column 3: curve value {bad} is not finite"):
+        io.read_dataset(path)
+
+
+def test_cli_dataset_with_a_non_finite_value_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("label,t_0.5,t_1\n0,nan,1\n1,2,3\n")
+    assert main(["select", "--data", str(bad), "--d-max", "1"]) == 3
+    out = capsys.readouterr()
+    assert out.out.strip().splitlines()[-1] == "error_code=parse-error"
+    assert "line 2: column 2: curve value nan is not finite" in out.err
+
+
 def test_cli_eigen(capsys):
     assert main(["eigen", "--kernel", "brownian", "--grid-count", "50", "--max-order", "3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -550,21 +550,32 @@ def test_gen_process_rejects_grid_beyond_bridge_endpoint():
         gen_process(BrownianBridgeKernel(t_max=0.5), make_grid(10, 0.0, 1.0), np.random.default_rng(0))
 
 
-@pytest.mark.parametrize(
-    "entropy",
-    [0, 1, (1,), (0, 0, 0), (1, 2, 3, 4), 2**64 - 1, 2**64 + 12345, 2**130 + 7, (7, 2**63 + 5, 25, 3, 2),
-     (2**40, 5), np.int64(9)],
-    ids=lambda e: repr(e)[:24],
-)
+# short entropy is zero-padded to the pool of 4 words, long ints split into words
+SPAWN_ENTROPIES = [0, 1, (1,), (0, 0, 0), (1, 2, 3, 4), 2**64 - 1, 2**64 + 12345, 2**130 + 7,
+                   (7, 2**63 + 5, 25, 3, 2), (2**40, 5), np.int64(9)]
+
+
+@pytest.mark.parametrize("entropy", SPAWN_ENTROPIES, ids=lambda e: repr(e)[:24])
 @pytest.mark.parametrize("label", [0, 1, 2])
 def test_spawn_seed_words_match_seed_sequence(entropy, label):
-    # short entropy is zero-padded to the pool of 4 words, long ints split into words
     indices = [0, 1, 2, 17, 2**31, 2**32 - 1]
     words = _spawn_seed_words(entropy, label, indices)
     for row, i in zip(words, indices):
         seq = np.random.SeedSequence(entropy, spawn_key=(label, i))
         np.testing.assert_array_equal(row, seq.generate_state(4, np.uint64))
     assert words.dtype == np.uint64 and words.shape == (len(indices), 4)
+
+
+@pytest.mark.parametrize("entropy", SPAWN_ENTROPIES, ids=lambda e: repr(e)[:24])
+def test_spawn_seed_words_with_a_label_per_row_match_seed_sequence(entropy):
+    # one pass over rows of mixed labels, as gen_model_dataset seeds its curves
+    indices = np.array([0, 1, 2, 3, 17, 40, 2**31, 2**32 - 1])
+    labels = np.array([0, 1, 2, 1, 0, 2, 1, 0])
+    words = _spawn_seed_words(entropy, labels, indices)
+    assert words.dtype == np.uint64 and words.shape == (len(indices), 4)
+    for row, label, i in zip(words, labels.tolist(), indices.tolist()):
+        seq = np.random.SeedSequence(entropy, spawn_key=(label, i))
+        np.testing.assert_array_equal(row, seq.generate_state(4, np.uint64))
 
 
 def test_seed_words_give_the_seed_sequence_stream():
@@ -593,3 +604,91 @@ def test_spawn_key_words_beyond_32_bits_are_rejected():
         _spawn_seed_words(1, 2**32, [0])
     with pytest.raises(ValueError):
         _spawn_seed_words(1, 0, [-1])
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [np.array([0, 2**32]), [1, -1], np.array([0, 2**63], dtype=np.uint64), np.array([2**40, 0])],
+    ids=["2**32", "negative", "uint64-2**63", "2**40"],
+)
+def test_spawn_label_arrays_beyond_32_bits_are_rejected(labels):
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _spawn_seed_words(1, labels, [0, 1])
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 0], np.zeros((2, 1), dtype=int), [0.0, 1.0], 1.5])
+def test_spawn_labels_must_be_integers_one_per_row_or_one_for_all(labels):
+    with pytest.raises(ValueError):
+        _spawn_seed_words(1, labels, [0, 1])
+
+
+# The smoothed-Brownian product: a stack of per-row products against the
+# per-row ``weights @ row`` loop, and the shared read-only weight matrix
+
+
+def _smoothed_paths(grid, normals):
+    comp = simulate._component(SmoothedBrownian(0.05), simulate.ZeroTrend(), grid)
+    block = normals.copy()
+    simulate._process_paths(comp, grid, block, np.zeros(len(block)))
+    return block
+
+
+@pytest.mark.parametrize("count", [100, 1000])
+@pytest.mark.parametrize("pinned", [False, True], ids=["default-threads", "blas-pinned"])
+def test_stacked_smoothing_product_matches_the_per_row_product(count, pinned):
+    from contextlib import nullcontext
+
+    from rkfda.bench import _blas_pinned
+
+    grid = standard_grid(count)
+    normals = np.random.default_rng(count).standard_normal((60, count))
+    weights = smoothing_matrix(grid, 0.05)
+    want = np.cumsum(normals * np.sqrt(np.diff(grid.points, prepend=0.0)), axis=1)
+    for row in want:
+        row[:] = weights @ row
+    with _blas_pinned() if pinned else nullcontext():
+        got = _smoothed_paths(grid, normals)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_smoothing_matrix_is_read_only_and_shared_by_equal_grids():
+    first, second = standard_grid(37), make_grid(37, 1.0 / 37, 1.0)
+    assert first is not second and np.array_equal(first.points, second.points)
+    weights = smoothing_matrix(first, 0.05)
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0, 0] = 1.0
+    assert smoothing_matrix(second, 0.05) is weights
+    assert smoothing_matrix(first, 0.1) is not weights
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_smoothing_matrix_cache_keeps_few_matrices():
+    simulate._smoothing_matrix.cache_clear()
+    for count in range(10, 30):
+        smoothing_matrix(standard_grid(count), 0.05)
+    info = simulate._smoothing_matrix.cache_info()
+    assert info.currsize == info.maxsize <= 8  # at most 8 x 8 MB at G = 1000
+
+
+def test_threads_sharing_the_smoothing_cache_reproduce_the_golden_digests():
+    # the bench's thread pool generates datasets concurrently and shares the cache
+    from concurrent.futures import ThreadPoolExecutor
+
+    keys = [k for k in sorted(GOLDEN_DIGESTS) if "sB" in k[0] or k[0].startswith("M")]
+    assert any(k[1] == 1000 and "sB" in k[0] for k in keys)
+
+    def digest(key):
+        model_id, count, seed_name = key
+        return _digest(gen_model_dataset(builtin_catalog()[model_id], 25, standard_grid(count), GOLDEN_SEEDS[seed_name]))
+
+    simulate._smoothing_matrix.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, more threads than cores
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(digest, keys + keys, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [GOLDEN_DIGESTS[k] for k in keys + keys]
+    assert simulate._smoothing_matrix.cache_info().hits > 0
