@@ -4,10 +4,12 @@ Each run draws fresh training, validation and test samples from the model,
 fits every requested method on the training sample, fixes its hyperparameter
 (number of selected points, k, or truncation order) by validation accuracy,
 and scores the winner on the test sample.  Runs are independent tasks: a plan
-is one ordered list of (model, n, run) tasks, run in order in this thread or
-by one thread pool for the whole plan, and the results are aggregated per
-(model, n) cell in that order, so reports are identical no matter how many
-workers execute them.
+is one ordered list of (model, n, run) tasks, run in order in the calling
+thread, and the results are aggregated per (model, n) cell in that order.
+A plan's ``workers`` is validated but does not change how it runs, so
+reports do not depend on it.  A run at G = 100 is bound by the interpreter
+lock (the per-curve PCG64 loop, small numpy calls): on every shipped plan a
+thread pool ran slower than one thread.
 
 Validation scores every candidate of a method in one pass, with no refit
 per candidate:
@@ -29,21 +31,18 @@ from the averages; any other exception is a fault and propagates.
 While ``run_experiment`` or ``variable_recovery_histogram`` runs, every
 OpenBLAS loaded in the process is pinned to one thread, and its thread count
 is restored afterwards.  The calls are small, so OpenBLAS's own threads cost
-more in wake-ups than they save, and the pool's threads already use the
-cores.  The thread count is process-wide: concurrent calls from several user
-threads share the pin, and the count is restored when the last one returns.
-
-``RKFDA_THREADS`` caps the worker pool size; a value that is not an integer,
-or is below 1, raises UsageError.
+more in wake-ups than they save: on two cores, serial plans of the perfbench
+``protocol`` and ``dense`` shapes ran about twice as fast pinned as at
+OpenBLAS's default.  The thread count is process-wide: concurrent calls
+from several user threads share the pin, and the count is restored when the
+last one returns.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -60,7 +59,7 @@ from .classify import (
     train_knn,
     train_rkc,
 )
-from .core import Grid, SingularMatrixError, TrainingError, UsageError
+from .core import Grid, SingularMatrixError, TrainingError
 from .kernels import BrownianKernel
 from .select import SelectionConfig, greedy_select, oracle_source_from_dataset
 from .simulate import ModelSpec, builtin_catalog, gen_model_dataset, standard_grid
@@ -82,7 +81,11 @@ DEFAULT_K_GRID = tuple(range(1, 22, 2))
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """What to run: models, sample sizes, repetitions, methods, seeds."""
+    """What to run: models, sample sizes, repetitions, methods, seeds.
+
+    ``workers`` is validated (at least 1) but plans run in-process, in the
+    calling thread, whatever its value; it is kept for a process pool.
+    """
 
     models: tuple
     sizes: tuple
@@ -98,8 +101,20 @@ class ExperimentPlan:
     workers: int | None = None
 
     def __post_init__(self):
+        for name in ("models", "sizes", "methods"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {' '.join(map(str, values))}")
         if self.runs < 1 or self.test_size < 1 or self.validation_size < 1:
             raise ValueError("runs, test and validation sizes must be positive")
+        if min(self.sizes) < 1:
+            raise ValueError("sizes must each be at least 1")
+        if self.grid_count < 2:
+            raise ValueError("grid_count must be at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -136,19 +151,6 @@ class RunReport:
 
 def _model_entropy(model_id: str) -> int:
     return int.from_bytes(hashlib.sha256(model_id.encode()).digest()[:8], "big")
-
-
-def _worker_count(plan: ExperimentPlan) -> int:
-    env = os.environ.get("RKFDA_THREADS")
-    try:
-        cap = int(env) if env else None
-    except ValueError:
-        raise UsageError(f"RKFDA_THREADS must be an integer, got {env!r}") from None
-    if cap is None:
-        return plan.workers or 1
-    if cap < 1:
-        raise UsageError(f"RKFDA_THREADS must be at least 1, got {env!r}")
-    return min(plan.workers or cap, cap)
 
 
 # (get, set) thread-count symbols, first match per library: numpy's bundled
@@ -275,28 +277,19 @@ def _one_run(model: ModelSpec, n: int, run_idx: int, plan: ExperimentPlan, grid:
 
 def run_experiment(plan: ExperimentPlan, catalog: dict | None = None) -> RunReport:
     """Execute the plan and aggregate per (model, n, method) across runs."""
-    workers = _worker_count(plan)
     catalog = catalog if catalog is not None else builtin_catalog()
     missing = [m for m in plan.models if m not in catalog]
     if missing:
         raise ValueError(f"models not in the catalog: {missing}")
     grid = standard_grid(plan.grid_count)
-    tasks = [
-        (catalog[model_id], n, run_idx)
-        for model_id in plan.models
-        for n in plan.sizes
-        for run_idx in range(plan.runs)
-    ]
-
-    def run(task):
-        return _one_run(*task, plan, grid)
-
     with _blas_pinned():
-        if workers == 1:
-            return _aggregate(plan, map(run, tasks))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # map yields in task order, whichever worker finishes first
-            return _aggregate(plan, pool.map(run, tasks))
+        results = (
+            _one_run(catalog[model_id], n, run_idx, plan, grid)
+            for model_id in plan.models
+            for n in plan.sizes
+            for run_idx in range(plan.runs)
+        )
+        return _aggregate(plan, results)
 
 
 def _aggregate(plan: ExperimentPlan, results) -> RunReport:

@@ -182,6 +182,12 @@ def read_classifier(path) -> TrainedClassifier:
         raise DatasetFormatError(f"{path}: malformed model file ({exc})") from exc
 
 
+_PLAN_INT_KEYS = (
+    "runs", "test_size", "validation_size", "grid_count", "d_max", "centroid_r_max", "seed", "workers",
+)
+_PLAN_KEYS = {"models", "sizes", "methods", "k_grid", *_PLAN_INT_KEYS}
+
+
 def read_plan(path) -> ExperimentPlan:
     """Parse a plain-text experiment plan (INI, one [plan] section)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
@@ -193,21 +199,15 @@ def read_plan(path) -> ExperimentPlan:
     if not parser.has_section("plan"):
         raise DatasetFormatError(f"{path}: missing [plan] section")
     section = parser["plan"]
+    unknown = sorted(set(section) - _PLAN_KEYS)
+    if unknown:
+        raise DatasetFormatError(f"{path}: unknown plan key(s): {', '.join(unknown)}")
     try:
         kwargs = dict(
             models=tuple(section["models"].split()),
             sizes=tuple(int(v) for v in section["sizes"].split()),
         )
-        for key in (
-            "runs",
-            "test_size",
-            "validation_size",
-            "grid_count",
-            "d_max",
-            "centroid_r_max",
-            "seed",
-            "workers",
-        ):
+        for key in _PLAN_INT_KEYS:
             if key in section:
                 kwargs[key] = int(section[key])
         if "methods" in section:

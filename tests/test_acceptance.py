@@ -5,6 +5,7 @@ lines with the measured values; any failed assertion marks the criterion red.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,7 +241,7 @@ def test_criterion_09_gaussian_family_direction():
     _report(9, "Gaussian family direction", f"RK-C {100*rkc:.2f} vs kNN {100*knn:.2f}, gap {gap:.2f} pts")
 
 
-def test_criterion_10_bench_determinism(tmp_path, monkeypatch):
+def test_criterion_10_bench_determinism(tmp_path):
     plan = ExperimentPlan(
         models=("G2", "L1-B", "M7"),
         sizes=(30,),
@@ -253,9 +254,8 @@ def test_criterion_10_bench_determinism(tmp_path, monkeypatch):
     )
     blobs = []
     for workers in (1, 4, 8):
-        monkeypatch.setenv("RKFDA_THREADS", str(workers))
         path = tmp_path / f"report-{workers}.csv"
-        rkio.write_report(run_experiment(plan), path)
+        rkio.write_report(run_experiment(replace(plan, workers=workers)), path)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
     _report(10, "report determinism", f"{len(blobs[0])}-byte reports identical for 1/4/8 workers")

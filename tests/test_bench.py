@@ -119,42 +119,21 @@ def test_reports_identical_across_worker_counts(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_thread_cap_env(monkeypatch):
-    from rkfda.bench import _worker_count
+def test_every_worker_count_runs_in_the_calling_thread(monkeypatch):
+    import threading
 
-    plan = ExperimentPlan(models=("G2",), sizes=(30,), runs=1, workers=8)
-    monkeypatch.setenv("RKFDA_THREADS", "2")
-    assert _worker_count(plan) == 2
-    monkeypatch.delenv("RKFDA_THREADS")
-    assert _worker_count(plan) == 8
-    assert _worker_count(ExperimentPlan(models=("G2",), sizes=(30,), runs=1)) == 1
+    import rkfda.bench
 
+    seen = []
 
-def test_non_integer_thread_cap_is_a_usage_error(monkeypatch, tmp_path, capsys):
-    from rkfda.cli import USAGE_EXIT, main
+    def recording(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return gen_model_dataset(*args, **kwargs)
 
-    plan = tmp_path / "plan.ini"
-    plan.write_text("[plan]\nmodels = G2\nsizes = 30\nruns = 1\n")
-    monkeypatch.setenv("RKFDA_THREADS", "two")
-    assert main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")]) == USAGE_EXIT
-    captured = capsys.readouterr()
-    assert captured.out.strip().splitlines()[-1] == "error_code=usage-error"
-    assert "RKFDA_THREADS" in captured.err
-    assert not (tmp_path / "r.csv").exists()
-
-
-@pytest.mark.parametrize("cap", ["0", "-2"])
-def test_thread_cap_below_one_is_a_usage_error(cap, monkeypatch, tmp_path, capsys):
-    from rkfda.cli import USAGE_EXIT, main
-
-    plan = tmp_path / "plan.ini"
-    plan.write_text("[plan]\nmodels = G2\nsizes = 30\nruns = 1\nworkers = 2\n")
-    monkeypatch.setenv("RKFDA_THREADS", cap)
-    assert main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")]) == USAGE_EXIT
-    captured = capsys.readouterr()
-    assert captured.out.strip().splitlines()[-1] == "error_code=usage-error"
-    assert "RKFDA_THREADS" in captured.err
-    assert not (tmp_path / "r.csv").exists()
+    monkeypatch.setattr(rkfda.bench, "gen_model_dataset", recording)
+    run_experiment(_small_plan(8))
+    assert len(seen) == 2 * 3 * 3
+    assert set(seen) == {threading.get_ident()}
 
 
 # ---------------------------------------------------------------------------
@@ -363,23 +342,58 @@ def test_plan_validation():
         {"centroid_r_max": 0},
         {"workers": 0},
         {"workers": -4},
+        {"models": ()},
+        {"sizes": ()},
+        {"methods": ()},
+        {"sizes": (0,)},
+        {"sizes": (30, -5)},
+        {"grid_count": 1},
+        {"seed": -1},
+        {"models": ("G2", "G2")},
+        {"sizes": (30, 30)},
+        {"methods": ("kNN", "kNN")},
     ],
 )
 def test_plan_rejects_bad_hyperparameters(bad):
     with pytest.raises(ValueError):
-        ExperimentPlan(models=("G2",), sizes=(30,), **bad)
+        ExperimentPlan(**{"models": ("G2",), "sizes": (30,), **bad})
 
 
 @pytest.mark.parametrize(
-    "line", ["k_grid = 0", "k_grid = -1 3", "d_max = 0", "centroid_r_max = 0", "workers = 0", "workers = -4"]
+    "line",
+    [
+        "k_grid = 0",
+        "k_grid = -1 3",
+        "d_max = 0",
+        "centroid_r_max = 0",
+        "workers = 0",
+        "workers = -4",
+        "models =",
+        "sizes =",
+        "methods =",
+        "sizes = 0",
+        "sizes = 30 -5",
+        "grid_count = 1",
+        "seed = -1",
+        "models = G2 G2",
+        "sizes = 30 30",
+        "methods = kNN kNN",
+        "rnus = 1",
+    ],
 )
 def test_bad_plan_hyperparameter_is_a_parse_error(line, tmp_path, capsys):
     from rkfda.cli import PARSE_EXIT, main
 
+    # the line replaces the base plan's value of its key, or adds the key
+    values = {"models": "G2", "sizes": "30", "runs": "2", "methods": "kNN Centroid"}
+    key, _, value = line.partition("=")
+    values[key.strip()] = value.strip()
     plan = tmp_path / "plan.ini"
-    plan.write_text(f"[plan]\nmodels = G2\nsizes = 30\nruns = 2\nmethods = kNN Centroid\n{line}\n")
+    plan.write_text("[plan]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
     assert main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")]) == PARSE_EXIT
-    assert capsys.readouterr().out.strip().splitlines()[-1] == "error_code=parse-error"
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines()[-1] == "error_code=parse-error"
+    assert key.strip() in captured.err
     assert not (tmp_path / "r.csv").exists()
 
 

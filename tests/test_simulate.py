@@ -672,7 +672,7 @@ def test_smoothing_matrix_cache_keeps_few_matrices():
 
 
 def test_threads_sharing_the_smoothing_cache_reproduce_the_golden_digests():
-    # the bench's thread pool generates datasets concurrently and shares the cache
+    # user threads may generate datasets concurrently, and they share the cache
     from concurrent.futures import ThreadPoolExecutor
 
     keys = [k for k in sorted(GOLDEN_DIGESTS) if "sB" in k[0] or k[0].startswith("M")]
