@@ -9,7 +9,10 @@ thread, and the results are aggregated per (model, n) cell in that order.
 A plan's ``workers`` is validated but does not change how it runs, so
 reports do not depend on it.  A run at G = 100 is bound by the interpreter
 lock (the per-curve PCG64 loop, small numpy calls): on every shipped plan a
-thread pool ran slower than one thread.
+pool of threads each running whole runs ran slower than one thread.  The
+only helper threads are those of ``classify.knn_decisions``, which spreads
+the row blocks of one large kNN call, work that releases the lock, over the
+CPUs the process may use and stops them before it returns.
 
 Validation scores every candidate of a method in one pass, with no refit
 per candidate:
@@ -17,7 +20,8 @@ per candidate:
 - RK-C and RK_B-C: ``classify.rkc_decisions`` decides with the rule on
   every prefix of the greedy selection from the selection's Cholesky factor;
 - kNN: ``classify.knn_decisions`` votes for the whole k grid from one
-  distance matrix between the validation and training curves;
+  pass over the squared distances between the validation and training
+  curves;
 - Centroid: ``classify.centroid_decisions`` projects onto every order's
   contrast in one product.
 
@@ -229,7 +233,7 @@ def _accuracies(decisions: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _knn_accuracies(train, val, ks) -> np.ndarray:
-    """Validation accuracy of the kNN vote for every k in ``ks``, from one distance matrix."""
+    """Validation accuracy of the kNN vote for every k in ``ks``, from one pass over the distances."""
     return _accuracies(knn_decisions(train.grid, train.curves, train.labels, val.curves, ks), val.labels)
 
 

@@ -12,13 +12,14 @@ decisions of the rule on every prefix of a greedy selection from the
 selection's Cholesky factor.  ``KNNClassifier`` votes among the
 k nearest training curves in the quadrature-scaled Euclidean metric; an
 exact distance tie at the k-th place goes to the smaller training index.
-:func:`knn_decisions` gives the votes of a whole k grid from one matrix
-product, ``||x||^2 + ||y||^2 - 2 x . y``, and a screen: a row whose k-th and
-(k+1)-th squared distances lie further apart than twice a rounding bound tau
-has a certain neighbour set, and every other row (exact and near ties) is
-ranked again by ``cdist`` and (distance, index), so the decisions, tie rule
-included, are those of the exact rule.  Training and query curves must be
-finite.
+:func:`knn_decisions` gives the votes of a whole k grid from squared
+distances ``||x||^2 + ||y||^2 - 2 x . y``, one matrix product per
+cache-sized block of query rows (the blocks spread over the CPUs the process
+may use), and a screen: a row whose k-th and (k+1)-th squared distances lie
+further apart than twice a rounding bound tau has a certain neighbour set,
+and every other row (exact and near ties) is ranked again by ``cdist`` and
+(distance, index), so the decisions, tie rule included, are those of the
+exact rule.  Training and query curves must be finite.
 ``CentroidClassifier`` projects a curve onto a truncated eigenbasis contrast
 and assigns the class whose projected centroid is closer;
 :func:`centroid_decisions` decides for several truncation orders from one
@@ -31,6 +32,8 @@ for tests; under the continuous models a tie has probability zero.
 from __future__ import annotations
 
 import math
+import os
+from concurrent import futures  # its thread pool loads on first use, not at import
 from dataclasses import dataclass
 from typing import Union
 
@@ -223,29 +226,27 @@ def rkc_decisions(dataset: LabeledDataset, selection: SelectionResult, curves) -
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
 
+# Bytes of one query block's squared distances to the n training curves, so
+# that its product, partial sort and vote stay in cache; 1 MiB ran faster
+# than 256 KiB and 2 MiB blocks on n = 1000.
+_BLOCK_BYTES = 1 << 20
+
 
 def _check_finite(values) -> None:
     if not np.all(np.isfinite(values)):
         raise ValueError("curve values must be finite")
 
 
-def _squared_distances(x, y):
-    """``||x_i||^2 + ||y_j||^2 - 2 x_i . y_j`` for every pair of rows, and both squared norms.
-
-    A function of its own so that the scaled curves it is given are freed
-    before the caller's partial sort allocates.
-    """
-    xx = np.einsum("ij,ij->i", x, x)
-    yy = np.einsum("ij,ij->i", y, y)
-    d2 = x @ y.T
-    d2 *= -2.0
-    d2 += xx[:, None]
-    d2 += yy
-    return d2, xx, yy
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndarray:
-    """kNN decisions for every k in ``ks`` from one distance matrix.
+    """kNN decisions for every k in ``ks``, screened in cache-sized row blocks.
 
     Returns an int array of shape ``(len(ks), len(curves))``; row i holds the
     vote of the ``ks[i]`` nearest training curves, label 1 when more than
@@ -254,18 +255,21 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
     ValueError.
 
     On the sqrt(dt)-scaled query curves x_i and training curves y_j the
-    squared distances come from one matrix product, ``F_ij = ||x_i||^2 +
-    ||y_j||^2 - 2 x_i . y_j``, and one partial sort keeps the ``max(ks) + 1``
-    smallest of each row.  The vote at k depends only on the set of the k
-    nearest curves, not on their order, so a row is decided here when, at
-    every k in ``ks`` below n, the gap between its k-th and (k+1)-th smallest
-    F exceeds ``2 tau_i``, with
+    squared distances are ``F_ij = ||x_i||^2 + ||y_j||^2 - 2 x_i . y_j``.
+    The training side (the scaled curves, their squared norms and the largest
+    of them) is prepared once per call; the query curves are taken in blocks
+    of ``_BLOCK_BYTES // (8 n)`` rows, so that a block's F fits in cache.
+    For each block one matrix product gives F and one partial sort keeps the
+    ``max(ks) + 1`` smallest of each row.  The vote at k depends only on the
+    set of the k nearest curves, not on their order, so a row is decided
+    here when, at every k in ``ks`` below n, the gap between its k-th and
+    (k+1)-th smallest F exceeds ``2 tau_i``, with
 
         tau_i = 8 (G + 4) (eps M_i + eta),   M_i = ||x_i||^2 + max_j ||y_j||^2,
 
     eps the float64 epsilon (2u for the unit roundoff u) and eta the
-    smallest subnormal.  Every other row, exact and near ties included, goes
-    through the exact rule.
+    smallest subnormal.  Every other row, from any block, exact and near ties
+    included, goes once through the exact rule.
 
     Why the gap makes the set certain.  Let D be the exact squared distance
     of the scaled curves, so D <= (||x|| + ||y||)^2 <= 2M.  To first order
@@ -288,7 +292,17 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
     four times that.  The exact rule then ranks j strictly before l, whatever
     the index order, and both rules vote with the same set.  The bounds hold
     only without overflow, so a row whose kept F or tau are not all finite
-    falls back too.
+    falls back too.  The proof holds block by block: each row's product is
+    one row of the full product, summed in whatever order the block's GEMM
+    chooses, which the bound covers, and M_i takes the largest norm over all
+    training curves, not over a block.
+
+    The product and the partial sort release the interpreter lock, so a call
+    of two or more blocks deals them round-robin to ``min(blocks, cpus)``
+    workers, cpus being the CPUs this process may run on
+    (``os.sched_getaffinity``): the calling thread takes one share and a
+    thread pool made for the call takes the rest.  A one-block call runs in
+    the calling thread and starts no thread.
     """
     ks = np.asarray(ks, dtype=int)
     train_labels = np.asarray(train_labels)
@@ -300,20 +314,49 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
     _check_finite(curves)
     _check_finite(train_curves)
     k_max = int(ks.max())
+    m = min(k_max + 1, n)
+    gap_at = ks[ks < n] - 1
     scale = math.sqrt(grid.spacing)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the screen
-        d2, xx, yy = _squared_distances(curves * scale, train_curves * scale)
-        m = min(k_max + 1, n)
-        near = np.argpartition(d2, m - 1, axis=1)[:, :m]
-        near_d2 = np.take_along_axis(d2, near, axis=1)
-        order = np.argsort(near_d2, axis=1)
-        near = np.take_along_axis(near, order, axis=1)
-        near_d2 = np.take_along_axis(near_d2, order, axis=1)
-        gaps = np.diff(near_d2, axis=1)[:, ks[ks < n] - 1]
-        tau = 8 * (grid.count + 4) * (_EPS * (xx + yy.max()) + _TINY)
-        sure = np.isfinite(near_d2).all(axis=1) & np.all(gaps > 2 * tau[:, None], axis=1)
-    cum = np.cumsum(train_labels[near[:, :k_max]], axis=1)
-    out = (cum[:, ks - 1].T * 2 > ks[:, None]).astype(int)
+        y = train_curves * scale
+        yy = np.einsum("ij,ij->i", y, y)
+        yy_max = yy.max()
+    queries = curves.shape[0]
+    out = np.empty((ks.size, queries), dtype=int)
+    sure = np.empty(queries, dtype=bool)
+
+    def screen(blocks):
+        # numpy's error state is per thread: set it in the thread that computes
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in blocks:
+                x = curves[rows] * scale
+                xx = np.einsum("ij,ij->i", x, x)
+                d2 = x @ y.T
+                d2 *= -2.0
+                d2 += xx[:, None]
+                d2 += yy
+                near = np.argpartition(d2, m - 1, axis=1)[:, :m]
+                near_d2 = np.take_along_axis(d2, near, axis=1)
+                order = np.argsort(near_d2, axis=1)
+                near = np.take_along_axis(near, order, axis=1)
+                near_d2 = np.take_along_axis(near_d2, order, axis=1)
+                gaps = np.diff(near_d2, axis=1)[:, gap_at]
+                tau = 8 * (grid.count + 4) * (_EPS * (xx + yy_max) + _TINY)
+                sure[rows] = np.isfinite(near_d2).all(axis=1) & np.all(gaps > 2 * tau[:, None], axis=1)
+                cum = np.cumsum(train_labels[near[:, :k_max]], axis=1)
+                out[:, rows] = cum[:, ks - 1].T * 2 > ks[:, None]
+
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    blocks = [slice(start, start + step) for start in range(0, queries, step)]
+    workers = min(len(blocks), _cpus())
+    if workers > 1:
+        with futures.ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            helpers = [pool.submit(screen, blocks[w::workers]) for w in range(1, workers)]
+            screen(blocks[::workers])
+            for helper in helpers:
+                helper.result()
+    else:
+        screen(blocks)
     unsure = np.flatnonzero(~sure)
     if unsure.size:
         out[:, unsure] = _knn_decisions_exact(grid, train_curves, train_labels, curves[unsure], ks)
@@ -350,7 +393,7 @@ def _knn_decisions_exact(grid: Grid, train_curves, train_labels, curves, ks) -> 
 
 def train_knn(dataset: LabeledDataset, k: int) -> KNNClassifier:
     """Memorize the training sample for k-nearest-neighbour voting; k odd avoids ties."""
-    if dataset.class_curves(0).shape[0] == 0 or dataset.class_curves(1).shape[0] == 0:
+    if dataset.labels.all() or not dataset.labels.any():  # labels are 0 or 1
         raise TrainingError("both classes must be present")
     return KNNClassifier(
         grid=dataset.grid, train_curves=dataset.curves, train_labels=dataset.labels, k=k

@@ -167,8 +167,18 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with the ``error_code`` line that ends every failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print("error_code=usage-error")
+        raise SystemExit(USAGE_EXIT)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rkfda", description=__doc__)
+    parser = _Parser(prog="rkfda", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a dataset from a catalog model")

@@ -1,4 +1,5 @@
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from rkfda.bench import (
     variable_recovery_histogram,
 )
 from rkfda.classify import (
+    _BLOCK_BYTES,
     KNNClassifier,
     centroid_classifiers,
     _knn_decisions_exact,
@@ -259,10 +261,12 @@ def test_concurrent_pins_leave_blas_as_it_was(blas_at_two_threads):
     assert _blas_threads() == blas_at_two_threads
 
 
-def test_knn_decisions_do_not_depend_on_blas_threads(blas_at_two_threads):
+def test_knn_decisions_do_not_depend_on_blas_threads(blas_at_two_threads, monkeypatch):
     # the product rounds differently on one thread and on two; the screen's
-    # fallback must hide that
+    # fallback must hide that, also with the row blocks split over two threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     train, val, _ = _samples("G4", 1000, 1000, 1, seed=24)
+    assert val.size > 7 * (_BLOCK_BYTES // (8 * train.size))
     args = (train.grid, train.curves, train.labels, val.curves, DEFAULT_K_GRID)
     threaded = knn_decisions(*args)
     with _blas_pinned():

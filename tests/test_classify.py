@@ -1,4 +1,8 @@
+import concurrent.futures
 import importlib
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +27,7 @@ from rkfda import (
 )
 from rkfda.bench import ExperimentPlan, _apply_method, _knn_accuracies
 from rkfda.classify import (
+    _BLOCK_BYTES,
     CentroidClassifier,
     KNNClassifier,
     _knn_decisions_exact,
@@ -243,13 +248,13 @@ ODD_KS = list(range(1, 22, 2))
 
 @pytest.fixture
 def fallback_rows(monkeypatch):
-    """Count the query rows that knn_decisions sends to the exact rule."""
+    """Record the query rows that knn_decisions sends to the exact rule, one array a call."""
     module = importlib.import_module("rkfda.classify")
     exact = module._knn_decisions_exact
     rows = []
 
     def counting(grid, train_curves, train_labels, curves, ks):
-        rows.append(len(curves))
+        rows.append(np.array(curves))
         return exact(grid, train_curves, train_labels, curves, ks)
 
     monkeypatch.setattr(module, "_knn_decisions_exact", counting)
@@ -296,7 +301,7 @@ def test_knn_screen_sends_duplicates_straddling_k_to_the_exact_rule(fallback_row
     query = rng.normal(size=(200, grid.count))
     # at every odd k the k-th and (k+1)-th neighbours are copies of one curve
     got = _assert_screen_is_exact(grid, curves, labels, query, ODD_KS)
-    assert sum(fallback_rows) == len(query)
+    assert sum(map(len, fallback_rows)) == len(query)
     # the index rule decides: the first copy of the nearest curve is the 1-NN
     first = np.argsort(np.linalg.norm(query[:, None] - curves[None], axis=2), axis=1, kind="stable")[:, 0]
     np.testing.assert_array_equal(got[0], labels[first])
@@ -316,7 +321,7 @@ def test_knn_screen_sends_curves_one_ulp_apart_to_the_exact_rule(ks, fallback_ro
     grid, curves, labels = _pairs(rng, nudged)
     query = rng.normal(size=(500, grid.count))
     _assert_screen_is_exact(grid, curves, labels, query, ks)
-    assert sum(fallback_rows) == len(query)
+    assert sum(map(len, fallback_rows)) == len(query)
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e160])
@@ -327,7 +332,7 @@ def test_knn_screen_falls_back_under_underflow_and_overflow(scale, fallback_rows
     labels = rng.integers(0, 2, size=60)
     query = rng.normal(size=(100, 8)) * scale
     _assert_screen_is_exact(grid, curves, labels, query, ODD_KS)
-    assert sum(fallback_rows) == len(query)
+    assert sum(map(len, fallback_rows)) == len(query)
 
 
 @pytest.mark.parametrize("n", [20, 21])
@@ -339,6 +344,89 @@ def test_knn_screen_with_k_equal_to_n(n):
     query = rng.normal(size=(50, 5))
     got = _assert_screen_is_exact(grid, curves, labels, query, [1, 3, n])
     assert np.all(got[-1] == int(labels.sum() * 2 > n))
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Three CPUs for this process; count the thread pools that knn_decisions starts."""
+    real = concurrent.futures.ThreadPoolExecutor
+    started = []
+
+    def counting(*args, **kwargs):
+        started.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting)
+    return started
+
+
+def _block_rows(n):
+    """Query rows in one block of knn_decisions against n training curves."""
+    return _BLOCK_BYTES // (8 * n)
+
+
+# one block - 1, one block, one block + 1, and three blocks and a short tail
+@pytest.mark.parametrize("queries", [1, 130, 131, 132, 3 * 131 + 17])
+def test_knn_screen_in_row_blocks_matches_the_exact_rule(queries, executors):
+    grid = standard_grid(100)
+    model = builtin_catalog()["G4"]
+    train = gen_model_dataset(model, 1000, grid, (39, 0))
+    step = _block_rows(train.size)
+    assert step == 131
+    query = gen_model_dataset(model, queries, grid, (39, 1))
+    _assert_screen_is_exact(grid, train.curves, train.labels, query.curves, ODD_KS)
+    # a one-block call starts no thread; b >= 2 blocks on three CPUs take the
+    # caller and a pool of min(b, 3) - 1
+    blocks = -(-queries // step)
+    assert executors == ([] if blocks == 1 else [min(blocks, 3) - 1])
+
+
+@pytest.mark.parametrize("twin", ["copy", "one-ulp"])
+def test_knn_screen_maps_fallback_rows_of_the_first_and_last_block(twin, fallback_rows, executors):
+    rng = np.random.default_rng(40)
+    grid = make_grid(8, 0, 1)
+    curves = rng.normal(size=(1000, 8))
+    labels = rng.integers(0, 2, size=1000)
+    # two far curves, each with a twin of the opposite label: at k = 1 the
+    # index rule decides, and the twins are never near a random query
+    for j, twin_j, offset in ((17, 503, 50.0), (911, 4, -50.0)):
+        curves[j] += offset
+        curves[twin_j] = curves[j]
+        if twin == "one-ulp":
+            curves[twin_j, 3] = np.nextafter(curves[j, 3], np.inf)
+        labels[twin_j] = 1 - labels[j]
+    step = _block_rows(len(curves))
+    query = rng.normal(size=(3 * step + 17, 8))
+    query[0], query[-1] = curves[17], curves[911]
+    _assert_screen_is_exact(grid, curves, labels, query, ODD_KS)
+    np.testing.assert_array_equal(np.vstack(fallback_rows), query[[0, -1]])
+    assert executors == [2]
+
+
+def test_knn_decisions_from_concurrent_user_threads_are_exact():
+    grid = standard_grid(100)
+    model = builtin_catalog()["L1-B"]
+    train = gen_model_dataset(model, 1000, grid, (41, 0))
+    queries = [gen_model_dataset(model, 400, grid, (41, i)).curves for i in (1, 2, 3)]
+    got = [None] * len(queries)
+
+    def decide(i):
+        got[i] = knn_decisions(grid, train.curves, train.labels, queries[i], ODD_KS)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=decide, args=(i,)) for i in range(len(queries))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for query, decided in zip(queries, got):
+        np.testing.assert_array_equal(decided, _knn_decisions_exact(grid, train.curves, train.labels, query, ODD_KS))
 
 
 def test_knn_screen_on_a_single_query_row():
@@ -377,6 +465,14 @@ def test_query_curves_must_be_finite():
             classify(clf, [np.inf, 0.0])
         with pytest.raises(ValueError, match="finite"):
             classify_batch(clf, bad)
+
+
+def test_train_knn_needs_both_classes():
+    g = make_grid(2, 0, 1)
+    for labels in ([0, 0, 0], [1, 1, 1]):
+        ds = LabeledDataset(grid=g, curves=np.arange(6.0).reshape(3, 2), labels=labels)
+        with pytest.raises(TrainingError, match="both classes must be present"):
+            train_knn(ds, 1)
 
 
 def test_train_knn_keeps_the_simulated_curves_without_a_copy():

@@ -165,6 +165,28 @@ def test_cli_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bench", "--out", "x.csv"], ["frobnicate"], ["simulate", "--model", "G2", "--n", "four", "--out", "s.csv"]],
+    ids=["missing-option", "unknown-command", "bad-int"],
+)
+def test_cli_usage_error_ends_with_its_error_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "error_code=usage-error"
+    assert captured.err.startswith("usage: rkfda") and "error: " in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bench", "--help"]])
+def test_cli_help_exits_0_without_an_error_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "error_code=usage-error" not in capsys.readouterr().out
+
+
 def test_cli_simulate_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
