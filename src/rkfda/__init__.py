@@ -15,7 +15,6 @@ from .core import (
     SelectionResult,
     SingularMatrixError,
     TrainingError,
-    UsageError,
     class_prior,
     make_grid,
 )
@@ -24,7 +23,6 @@ from .kernels import (
     BrownianKernel,
     EigenSystem,
     OrnsteinUhlenbeckKernel,
-    RidgePolicy,
     discretized_eigen,
     gram,
     kernel_eval,
@@ -44,10 +42,8 @@ from .estimate import ClassMoments, class_moments, pooled_cov
 from .select import (
     SelectionConfig,
     greedy_select,
-    oracle_gram_provider,
     oracle_source,
     oracle_source_from_dataset,
-    psi_hat,
 )
 from .classify import (
     CentroidClassifier,

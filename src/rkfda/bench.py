@@ -26,8 +26,11 @@ per candidate:
   contrast in one product.
 
 The first maximum of the validation accuracy wins, so ties go to the
-smallest d or truncation order and to the earliest k in the grid.  Only the
-chosen classifier is built for the test set.  A run whose training fails
+smallest d or truncation order and to the earliest k in the grid.  RK-C and
+RK_B-C build no classifier for the test set: its accuracy is row d - 1 of
+``rkc_decisions`` on the test curves, the arithmetic that validated d, so no
+covariance is re-estimated or solved.  kNN and Centroid build only the chosen
+classifier.  A run whose training fails
 (``TrainingError``, e.g. a class with fewer than two curves, or
 ``SingularMatrixError``) is recorded as failed for that method and excluded
 from the averages; any other exception is a fault and propagates.
@@ -54,7 +57,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .classify import (
+# train_rkc is unused here but stays importable from this module, where
+# perfbench/tracing.py wraps it.
+from .classify import (  # noqa: F401
     centroid_classifiers,
     centroid_decisions,
     error_rate,
@@ -248,8 +253,8 @@ def _apply_method(method: str, train, val, test, plan: ExperimentPlan):
             selection = greedy_select(oracle_source_from_dataset(train, kernel), config)
         accs = _accuracies(rkc_decisions(train, selection, val.curves), val.labels)
         d = int(np.argmax(accs)) + 1
-        clf = train_rkc(train, selection.points[:d], kernel=kernel)
-        return 1.0 - error_rate(clf, test), float(d)
+        test_decisions = rkc_decisions(train, selection, test.curves)[d - 1 : d]
+        return float(_accuracies(test_decisions, test.labels)[0]), float(d)
     if method == "kNN":
         ks = [k for k in plan.k_grid if k <= train.size]
         if not ks:

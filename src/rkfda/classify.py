@@ -53,7 +53,7 @@ from .core import (
 from .estimate import centred_curves, class_moments, pooled_cov
 # discretized_eigen is unused here but stays importable from this module,
 # where perfbench/tracing.py wraps it.
-from .kernels import DEFAULT_RIDGE, KernelSpec, RidgePolicy, discretized_eigen, gram, solve_spd  # noqa: F401
+from .kernels import KernelSpec, discretized_eigen, gram, solve_spd  # noqa: F401
 
 __all__ = [
     "RKCClassifier",
@@ -170,7 +170,6 @@ def train_rkc(
     dataset: LabeledDataset,
     points,
     prior: float | None = None,
-    policy: RidgePolicy = DEFAULT_RIDGE,
     kernel: KernelSpec | None = None,
 ) -> RKCClassifier:
     """Fit the linear rule at the given grid times.
@@ -178,7 +177,9 @@ def train_rkc(
     ``prior`` overrides the dataset's prior mode.  Passing ``kernel`` swaps
     the pooled covariance for the analytic Gram of a known covariance, the
     oracle variant; class means are estimated from the sample either way.
-    Raises TrainingError when the covariance stays singular after ridging.
+    Raises TrainingError when the covariance at the points is numerically
+    singular by :func:`~rkfda.kernels.solve_spd`'s pivot rule, e.g. the
+    pooled covariance at a repeated point; no ridge is added.
     """
     moments, log_prior_odds = _rkc_moments(dataset, prior)
     idx = dataset.grid.indices_of(points)
@@ -187,7 +188,7 @@ def train_rkc(
     else:
         cov = gram(kernel, dataset.grid.points[idx])
     try:
-        alphas, _ = solve_spd(cov, moments.diff_at(idx), policy)
+        alphas = solve_spd(cov, moments.diff_at(idx))
     except SingularMatrixError as exc:
         raise TrainingError("covariance at the selected points is singular") from exc
     return RKCClassifier(
@@ -209,7 +210,8 @@ def rkc_decisions(dataset: LabeledDataset, selection: SelectionResult, curves) -
     ``dataset``, as :func:`train_rkc` fits it.  With ``w = L^{-1} m`` and
     ``U = L^{-1} (x - midpoint)`` from one triangular solve, the score at d is
     ``sum_{k<d} w_k U_k - log((1-p)/p)``, a cumulative sum over k.  The
-    selection's degeneracy rule keeps L invertible, so no ridge is needed.
+    selection's degeneracy rule, the pivot rule of ``kernels.solve_spd``,
+    keeps L invertible.
     """
     moments, log_prior_odds = _rkc_moments(dataset)
     idx = selection.indices

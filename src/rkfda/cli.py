@@ -17,7 +17,7 @@ import numpy as np
 from . import io
 from .bench import ExperimentPlan, run_experiment, variable_recovery_histogram
 from .classify import train_knn, train_rkc, train_centroid, classify_batch, error_rate
-from .core import DatasetFormatError, RkfdaError, UsageError, make_grid
+from .core import DatasetFormatError, RkfdaError, make_grid
 from .kernels import (
     BrownianBridgeKernel,
     BrownianKernel,
@@ -249,10 +249,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"{exc}", file=sys.stderr)
-        print("error_code=usage-error")
-        return USAGE_EXIT
     except DatasetFormatError as exc:
         print(f"{exc}", file=sys.stderr)
         print("error_code=parse-error")

@@ -16,7 +16,6 @@ __all__ = [
     "SingularMatrixError",
     "TrainingError",
     "DatasetFormatError",
-    "UsageError",
     "Grid",
     "make_grid",
     "LabeledDataset",
@@ -33,7 +32,7 @@ class RkfdaError(Exception):
 
 
 class SingularMatrixError(RkfdaError):
-    """A covariance matrix stayed numerically singular after ridge escalation."""
+    """A covariance matrix is numerically singular by ``kernels.solve_spd``'s pivot rule."""
 
 
 class TrainingError(RkfdaError, ValueError):
@@ -46,10 +45,6 @@ class TrainingError(RkfdaError, ValueError):
 
 class DatasetFormatError(RkfdaError):
     """A dataset / plan / model file violates its documented format."""
-
-
-class UsageError(RkfdaError, ValueError):
-    """An invocation setting (e.g. an environment variable) is malformed."""
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:

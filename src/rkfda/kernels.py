@@ -1,4 +1,4 @@
-"""Covariance kernels, Gram matrices, regularized SPD solves, eigensystems.
+"""Covariance kernels, Gram matrices, SPD solves, eigensystems.
 
 The analytic kernels are the classical ones for the processes simulated in
 this package:
@@ -7,24 +7,23 @@ this package:
     Brownian bridge on [0,T] K(s, t) = min(s, t) - s*t/T
     Ornstein-Uhlenbeck       K(s, t) = sigma2 * exp(-theta * |s - t|)
 
-All solves against covariance matrices route through :func:`solve_spd`, which
-tries a plain Cholesky factorization first and escalates through a small,
-explicit ridge before declaring the matrix singular.  The ridge actually used
-is reported back to the caller.
+Solves against covariance matrices route through :func:`solve_spd`: one
+Cholesky factorization, and no ridge.  A matrix is numerically singular when
+the factorization fails or a pivot falls to ``DEGENERATE_RTOL`` of its
+diagonal entry, ``L_kk^2 <= DEGENERATE_RTOL * A_kk``: the Schur complement of
+point k given the points before it is rounding noise next to its variance.
+The greedy scan in :mod:`rkfda.select` skips a candidate by the same rule.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 import scipy.linalg
 
 from .core import Grid, SingularMatrixError, _frozen_array
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "BrownianKernel",
@@ -33,8 +32,7 @@ __all__ = [
     "KernelSpec",
     "kernel_eval",
     "gram",
-    "RidgePolicy",
-    "SpdSolution",
+    "DEGENERATE_RTOL",
     "solve_spd",
     "mahalanobis_psi",
     "EigenSystem",
@@ -97,39 +95,18 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
     return (k + k.T) / 2.0
 
 
-@dataclass(frozen=True)
-class RidgePolicy:
-    """Diagonal regularization schedule for nearly singular covariances.
-
-    First attempt is a plain Cholesky (ridge 0).  On failure the ridge is
-    ``base_scale * trace / d`` and, once more on failure, that value times
-    ``escalation``.  Anything still failing raises SingularMatrixError.
-    """
-
-    base_scale: float = 1e-8
-    escalation: float = 100.0
+# A covariance is numerically singular once a pivot's square, the Schur
+# complement of its point given the points before it, is at most this
+# fraction of the point's own variance.
+DEGENERATE_RTOL = 1e-12
 
 
-DEFAULT_RIDGE = RidgePolicy()
+def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve matrix @ x = rhs for a symmetric positive definite matrix.
 
-
-class SpdSolution(NamedTuple):
-    x: np.ndarray
-    ridge: float
-
-
-def _cho_factor(matrix: np.ndarray):
-    try:
-        return scipy.linalg.cho_factor(matrix, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return None
-
-
-def solve_spd(matrix: np.ndarray, rhs: np.ndarray, policy: RidgePolicy = DEFAULT_RIDGE) -> SpdSolution:
-    """Solve (matrix + ridge*I) x = rhs for a symmetric PSD-intended matrix.
-
-    Returns the solution together with the ridge that was actually needed
-    (0.0 when the plain factorization succeeds).
+    One Cholesky factorization, no ridge.  Raises SingularMatrixError when
+    the factorization fails or any pivot has
+    ``L_kk^2 <= DEGENERATE_RTOL * A_kk``.
     """
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -138,24 +115,23 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray, policy: RidgePolicy = DEFAULT
     if b.shape[0] != a.shape[0]:
         raise ValueError("rhs length must match matrix")
     d = a.shape[0]
-    base = policy.base_scale * abs(float(np.trace(a))) / d
-    for ridge in (0.0, base, base * policy.escalation):
-        factor = _cho_factor(a if ridge == 0.0 else a + ridge * np.eye(d))
-        if factor is not None:
-            if ridge > 0.0:
-                logger.debug("spd solve of order %d needed ridge %.3e", d, ridge)
-            return SpdSolution(scipy.linalg.cho_solve(factor, b, check_finite=False), ridge)
-    raise SingularMatrixError(f"covariance matrix of order {d} is numerically singular")
+    try:
+        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        factor = None
+    # "not above" rather than "at most", so that a NaN pivot counts as degenerate
+    if factor is None or not np.all(np.diag(factor[0]) ** 2 > DEGENERATE_RTOL * np.diag(a)):
+        raise SingularMatrixError(f"covariance matrix of order {d} is numerically singular")
+    return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
-def mahalanobis_psi(mean_vec, gram_matrix, policy: RidgePolicy = DEFAULT_RIDGE) -> float:
+def mahalanobis_psi(mean_vec, gram_matrix) -> float:
     """Squared Mahalanobis separation m^T K^{-1} m; nonnegative.
 
-    Propagates SingularMatrixError when the matrix cannot be factorized.
+    Propagates SingularMatrixError from :func:`solve_spd`.
     """
     m = np.asarray(mean_vec, dtype=float)
-    x, _ = solve_spd(gram_matrix, m, policy)
-    return max(float(m @ x), 0.0)
+    return max(float(m @ solve_spd(gram_matrix, m)), 0.0)
 
 
 @dataclass(frozen=True, eq=False)

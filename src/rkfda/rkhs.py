@@ -24,15 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _frozen_array
-from .kernels import (
-    DEFAULT_RIDGE,
-    EigenSystem,
-    KernelSpec,
-    RidgePolicy,
-    gram,
-    mahalanobis_psi,
-    solve_spd,
-)
+from .kernels import EigenSystem, KernelSpec, gram, solve_spd
 
 __all__ = [
     "FiniteExpansionMean",
@@ -81,18 +73,19 @@ class FiniteExpansionMean:
         return gram(self.kernel, self.points)
 
 
-def alphas_from_mean(mean_vec, gram_matrix, policy: RidgePolicy = DEFAULT_RIDGE) -> np.ndarray:
-    """Expansion coefficients alpha solving K alpha = m at the chosen points."""
-    x, _ = solve_spd(gram_matrix, np.asarray(mean_vec, dtype=float), policy)
-    return x
+def alphas_from_mean(mean_vec, gram_matrix) -> np.ndarray:
+    """Expansion coefficients alpha solving K alpha = m at the chosen points.
+
+    Raises SingularMatrixError when K is numerically singular (see
+    :func:`~rkfda.kernels.solve_spd`).
+    """
+    return solve_spd(gram_matrix, np.asarray(mean_vec, dtype=float))
 
 
-def finite_expansion_from_values(
-    kernel: KernelSpec, points, mean_values, policy: RidgePolicy = DEFAULT_RIDGE
-) -> FiniteExpansionMean:
+def finite_expansion_from_values(kernel: KernelSpec, points, mean_values) -> FiniteExpansionMean:
     """Expansion through the given (point, value) pairs of a mean difference."""
     pts = np.asarray(points, dtype=float)
-    alphas = alphas_from_mean(mean_values, gram(kernel, pts), policy)
+    alphas = alphas_from_mean(mean_values, gram(kernel, pts))
     return FiniteExpansionMean(kernel=kernel, points=pts, alphas=alphas)
 
 

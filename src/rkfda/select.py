@@ -25,6 +25,8 @@ every prefix of the selection without refitting.
 Degeneracy rule: a candidate is inadmissible while s_i <= 1e-12 * K_ii, that
 is when its variance is zero (e.g. a pinned endpoint) or it is numerically a
 linear combination of the chosen points (e.g. a duplicate of one of them).
+This is the pivot rule of ``kernels.solve_spd``, whose ``DEGENERATE_RTOL``
+both share.
 """
 
 from __future__ import annotations
@@ -34,18 +36,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grid, LabeledDataset, SelectionResult, TrainingError
-# pooled_cov is unused here but stays importable from this module, where
-# perfbench/tracing.py wraps it.
-from .estimate import ClassMoments, centred_curves, class_moments, pooled_cov  # noqa: F401
-from .kernels import DEFAULT_RIDGE, KernelSpec, RidgePolicy, gram, mahalanobis_psi
+# pooled_cov, gram and mahalanobis_psi are unused here but stay importable
+# from this module, where perfbench/tracing.py wraps them.
+from .estimate import centred_curves, class_moments, pooled_cov  # noqa: F401
+from .kernels import DEGENERATE_RTOL, KernelSpec, gram, mahalanobis_psi  # noqa: F401
 
 __all__ = [
     "SelectionConfig",
     "OracleSource",
     "oracle_source",
     "oracle_source_from_dataset",
-    "oracle_gram_provider",
-    "psi_hat",
     "greedy_select",
 ]
 
@@ -103,25 +103,6 @@ def oracle_source(kernel: KernelSpec, grid: Grid, mean_diff) -> OracleSource:
 def oracle_source_from_dataset(dataset: LabeledDataset, kernel: KernelSpec) -> OracleSource:
     """Analytic covariance with the mean difference estimated from the sample."""
     return oracle_source(kernel, dataset.grid, class_moments(dataset).diff)
-
-
-def oracle_gram_provider(kernel: KernelSpec):
-    """Covariance provider evaluating analytic Grams instead of the pooled estimate."""
-    return lambda points: gram(kernel, points)
-
-
-def psi_hat(points, moments: ClassMoments, cov, policy: RidgePolicy = DEFAULT_RIDGE) -> float:
-    """Estimated squared Mahalanobis separation at the given grid times."""
-    idx = moments.grid.indices_of(points)
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (idx.size, idx.size):
-        raise ValueError("covariance must match the number of points")
-    return mahalanobis_psi(moments.diff_at(idx), cov, policy)
-
-
-# A candidate is inadmissible while its Schur complement is at most this
-# fraction of its own variance.
-DEGENERATE_RTOL = 1e-12
 
 
 def _kernel_diag(kernel: KernelSpec, points: np.ndarray, block: int = 64) -> np.ndarray:

@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 from pathlib import Path
@@ -515,6 +516,20 @@ def _assert_rk_matches_loop(train, val, test, method, d_max=10):
     test_acc, d = _apply_method(method, train, val, test, plan)
     assert d == d_loop
     assert test_acc == 1.0 - error_rate(clf_loop, test)
+
+
+def test_rk_methods_score_the_test_set_without_refitting_or_solving(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the RK methods refit or solved")
+
+    # by module path: the package's own ``rkfda.classify`` is the classify function
+    for path, name in (("rkfda.classify", "solve_spd"), ("rkfda.kernels", "solve_spd"), ("rkfda.bench", "train_rkc")):
+        monkeypatch.setattr(importlib.import_module(path), name, forbidden)
+    train, val, test = _samples("G4", 50, 100, 100, seed=27)
+    plan = ExperimentPlan(models=("-",), sizes=(train.size,), d_max=5)
+    for method in ("RK-C", "RK_B-C"):
+        acc, d = _apply_method(method, train, val, test, plan)
+        assert 0.0 <= acc <= 1.0 and 1 <= d <= 5
 
 
 def _assert_centroid_matches_loop(train, val, test, r_max=20):

@@ -145,6 +145,16 @@ def test_rkc_training_failure_on_constant_point():
         train_rkc(ds, [g.points[0]])
 
 
+def test_rkc_training_failure_on_a_repeated_point():
+    # the pooled covariance at (t, t) has rank one: no ridge rescues it
+    rng = np.random.default_rng(13)
+    g = make_grid(4, 0, 1)
+    ds = _dataset(rng.normal(size=(6, 4)), rng.normal(1.0, 1.0, size=(6, 4)), grid=g)
+    train_rkc(ds, g.points[[1, 2]])
+    with pytest.raises(TrainingError, match="singular"):
+        train_rkc(ds, g.points[[2, 2]])
+
+
 def test_rkc_toy_consistency_at_the_knots():
     # trained at the five informative times the rule approaches the optimum
     toy = builtin_catalog()["TOY"]

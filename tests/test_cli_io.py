@@ -270,6 +270,15 @@ def test_cli_train_parse_failure_without_points(tmp_path, capsys):
     assert capsys.readouterr().out.strip().splitlines()[-1] == "error_code=parse-error"
 
 
+def test_cli_train_rkc_at_a_repeated_point_is_a_numeric_failure(tmp_path, capsys):
+    path, _ = _toy_file(tmp_path)
+    code = main(["train", "--data", str(path), "--method", "rkc", "--points", "0.5,0.5",
+                 "--out", str(tmp_path / "m.txt")])
+    assert code == 4
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "error_code=numeric-failure"
+    assert not (tmp_path / "m.txt").exists()
+
+
 def test_cli_dataset_parse_failure(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("label,t_0,t_1\n0,1,2\n0,1\n")

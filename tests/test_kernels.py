@@ -34,6 +34,7 @@ def test_kernel_eval_values():
     assert kernel_eval(BrownianKernel(), 0.3, 0.7) == pytest.approx(0.3)
     assert kernel_eval(BrownianBridgeKernel(), 0.5, 0.5) == pytest.approx(0.25)
     assert kernel_eval(OrnsteinUhlenbeckKernel(), 0.2, 0.2) == pytest.approx(1.0)
+    assert kernel_eval(OrnsteinUhlenbeckKernel(sigma2=2.5), 0.3, 0.3) == pytest.approx(2.5)
 
 
 def test_gram_brownian_entries():
@@ -58,22 +59,33 @@ def test_gram_rejects_duplicates():
 
 
 def test_solve_spd_identity():
-    x, ridge = solve_spd(np.eye(2), np.array([3.0, 4.0]))
-    np.testing.assert_allclose(x, [3.0, 4.0])
-    assert ridge == 0.0
+    np.testing.assert_allclose(solve_spd(np.eye(2), np.array([3.0, 4.0])), [3.0, 4.0])
 
 
 def test_solve_spd_two_by_two():
     # det = 0.25, solved by hand
-    x, ridge = solve_spd(np.array([[0.5, 0.5], [0.5, 1.0]]), np.array([0.5, 1.0]))
+    x = solve_spd(np.array([[0.5, 0.5], [0.5, 1.0]]), np.array([0.5, 1.0]))
     np.testing.assert_allclose(x, [0.0, 1.0], atol=1e-12)
-    assert ridge == 0.0
 
 
-def test_solve_spd_rank_one_engages_ridge():
-    x, ridge = solve_spd(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
-    assert ridge > 0.0
-    assert np.all(np.isfinite(x))
+def test_solve_spd_rank_one_is_singular():
+    # the factorization itself fails: the second pivot is exactly 0
+    with pytest.raises(SingularMatrixError):
+        solve_spd(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
+
+
+def test_solve_spd_pivot_below_the_floor_is_singular():
+    # Cholesky succeeds, but the second pivot's square, about 1e-14, is below
+    # DEGENERATE_RTOL times its diagonal entry
+    with pytest.raises(SingularMatrixError):
+        solve_spd(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]), np.array([1.0, 1.0]))
+
+
+def test_solve_spd_pivot_above_the_floor_solves():
+    # the second pivot's square, about 1e-10, is a hundred times the floor
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
+    e = a[1, 1] - 1.0  # the stored excess, exactly
+    np.testing.assert_allclose(solve_spd(a, np.array([1.0, 0.0])), [1.0 + 1.0 / e, -1.0 / e], rtol=1e-9)
 
 
 def test_solve_spd_zero_matrix_is_singular():
@@ -83,6 +95,10 @@ def test_solve_spd_zero_matrix_is_singular():
 
 def test_mahalanobis_psi_scalar():
     assert mahalanobis_psi([0.5], [[0.5]]) == pytest.approx(0.5)
+
+
+def test_mahalanobis_psi_zero_for_a_zero_mean():
+    assert mahalanobis_psi([0.0, 0.0], [[0.5, 0.5], [0.5, 1.0]]) == 0.0
 
 
 def test_mahalanobis_psi_two_points():

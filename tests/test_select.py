@@ -10,13 +10,10 @@ from rkfda import (
     SelectionConfig,
     class_moments,
     greedy_select,
-    kernel_eval,
     make_grid,
-    oracle_gram_provider,
     oracle_source,
     oracle_source_from_dataset,
     pooled_cov,
-    psi_hat,
 )
 from rkfda.core import SelectionResult, SingularMatrixError
 from rkfda.kernels import gram, mahalanobis_psi
@@ -29,48 +26,6 @@ from test_kernels import TOY_KNOTS, TOY_MEAN_AT_KNOTS
 def _oracle_linear(grid):
     # class mean difference m(t) = t under the Brownian covariance
     return oracle_source(BrownianKernel(), grid, grid.points.copy())
-
-
-def test_psi_hat_oracle_single_point():
-    g = make_grid(5, 0, 1)
-    src = _oracle_linear(g)
-    moments_like = class_moments(
-        LabeledDataset(
-            grid=g,
-            curves=np.vstack([np.zeros((2, 5)), np.tile(g.points, (2, 1))]),
-            labels=np.array([0, 0, 1, 1]),
-        )
-    )
-    cov = oracle_gram_provider(BrownianKernel())([0.5])
-    assert psi_hat([0.5], moments_like, cov) == pytest.approx(0.5)
-
-
-def test_psi_hat_two_points():
-    g = make_grid(5, 0, 1)
-    ds = LabeledDataset(
-        grid=g,
-        curves=np.vstack([np.zeros((2, 5)), np.tile(g.points, (2, 1))]),
-        labels=np.array([0, 0, 1, 1]),
-    )
-    cov = oracle_gram_provider(BrownianKernel())([0.5, 1.0])
-    assert psi_hat([0.5, 1.0], class_moments(ds), cov) == pytest.approx(1.0)
-
-
-def test_psi_hat_zero_for_identical_means():
-    g = make_grid(4, 0, 1)
-    rng = np.random.default_rng(0)
-    rows = rng.normal(size=(3, 4))
-    ds = LabeledDataset(
-        grid=g, curves=np.vstack([rows, rows]), labels=np.array([0, 0, 0, 1, 1, 1])
-    )
-    cov = pooled_cov(ds, g.points[[1, 2]])
-    assert psi_hat(g.points[[1, 2]], class_moments(ds), cov) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_oracle_gram_provider_entries():
-    provider = oracle_gram_provider(BrownianKernel())
-    np.testing.assert_allclose(provider([0.25, 1.0]), [[0.25, 0.25], [0.25, 1.0]])
-    assert kernel_eval(OrnsteinUhlenbeckKernel(sigma2=2.5), 0.3, 0.3) == pytest.approx(2.5)
 
 
 def test_greedy_linear_mean_picks_right_endpoint():
@@ -178,11 +133,12 @@ def test_identical_classes_give_single_near_zero_step():
 
 
 def _loop_select(source, config: SelectionConfig) -> SelectionResult:
-    """Reference greedy search: one ridged Cholesky solve per candidate per step.
+    """Reference greedy search: one Cholesky solve per candidate per step.
 
     This is the direct transcription of the forward psi maximization that the
     incremental scan in ``greedy_select`` replaces; a candidate is skipped when
-    its covariance submatrix stays singular after ridge escalation.
+    ``solve_spd`` finds its covariance submatrix numerically singular, by the
+    pivot rule the scan applies to its Schur complements.
     """
     if isinstance(source, OracleSource):
         grid, mean, cov = source.grid, source.mean_diff, gram(source.kernel, source.grid.points)
