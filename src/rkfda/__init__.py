@@ -8,6 +8,7 @@ linear / kNN / centroid classifiers, and a reproducible benchmark harness.
 """
 
 from .core import (
+    ClassMoments,
     DatasetFormatError,
     Grid,
     LabeledDataset,
@@ -38,7 +39,7 @@ from .rkhs import (
     rkhs_norm_sq,
     truncation_sequence,
 )
-from .estimate import ClassMoments, class_moments, pooled_cov
+from .estimate import class_moments, pooled_cov
 from .select import (
     SelectionConfig,
     greedy_select,

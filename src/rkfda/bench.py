@@ -31,9 +31,9 @@ RK_B-C build no classifier for the test set: its accuracy is row d - 1 of
 ``rkc_decisions`` on the test curves, the arithmetic that validated d, so no
 covariance is re-estimated or solved.  kNN and Centroid build only the chosen
 classifier.  A run whose training fails
-(``TrainingError``, e.g. a class with fewer than two curves, or
-``SingularMatrixError``) is recorded as failed for that method and excluded
-from the averages; any other exception is a fault and propagates.
+(``TrainingError``, e.g. a class with fewer than two curves) is recorded as
+failed for that method and excluded from the averages; any other exception
+is a fault and propagates.
 
 While ``run_experiment`` or ``variable_recovery_histogram`` runs, every
 OpenBLAS loaded in the process is pinned to one thread, and its thread count
@@ -68,7 +68,7 @@ from .classify import (  # noqa: F401
     train_knn,
     train_rkc,
 )
-from .core import Grid, SingularMatrixError, TrainingError
+from .core import Grid, TrainingError
 from .kernels import BrownianKernel
 from .select import SelectionConfig, greedy_select, oracle_source_from_dataset
 from .simulate import ModelSpec, builtin_catalog, gen_model_dataset, standard_grid
@@ -279,7 +279,7 @@ def _one_run(model: ModelSpec, n: int, run_idx: int, plan: ExperimentPlan, grid:
     for method in plan.methods:
         try:
             out[method] = _apply_method(method, train, val, test, plan)
-        except (TrainingError, SingularMatrixError):
+        except TrainingError:
             out[method] = None
     return out
 

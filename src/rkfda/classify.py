@@ -152,14 +152,13 @@ TrainedClassifier = Union[RKCClassifier, KNNClassifier, CentroidClassifier]
 
 # The centroid fit treats the spectrum as empty when the class-centred curves
 # are this small relative to the raw curves: what is left is rounding noise.
-DEGENERATE_RTOL = 1e-12
+_EMPTY_SPECTRUM_RTOL = 1e-12
 
 
 def _rkc_moments(dataset: LabeledDataset, prior: float | None = None):
     """Class moments and log((1-p)/p) for the linear rule, checked for training."""
     moments = class_moments(dataset)
-    if moments.n0 < 2 or moments.n1 < 2:
-        raise TrainingError("both classes need at least 2 samples")
+    moments.require_covariance()
     p = class_prior(dataset) if prior is None else float(prior)
     if not 0.0 < p < 1.0:
         raise ValueError("class prior must lie in (0, 1) for training")
@@ -418,17 +417,15 @@ def centroid_classifiers(dataset: LabeledDataset, orders, clip: bool = False) ->
     instead of raising.
     """
     orders = list(orders)
+    z = centred_curves(dataset)
     moments = class_moments(dataset)
-    if moments.n0 < 2 or moments.n1 < 2:
-        raise TrainingError("both classes need at least 2 samples")
     grid = dataset.grid
     dt = grid.spacing
-    z = centred_curves(dataset)
     thin = z.shape[0] < z.shape[1]
     w, vecs = scipy.linalg.eigh((z @ z.T if thin else z.T @ z) * dt, check_finite=False)
     w = np.clip(w[::-1], 0.0, None)
     vecs = vecs[:, ::-1]
-    if np.linalg.norm(z) <= DEGENERATE_RTOL * np.linalg.norm(dataset.curves):
+    if np.linalg.norm(z) <= _EMPTY_SPECTRUM_RTOL * np.linalg.norm(dataset.curves):
         usable = 0
     else:
         usable = int(np.sum(w > 1e-10 * w[0]))

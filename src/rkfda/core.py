@@ -2,12 +2,15 @@
 
 All types are immutable after construction and safe to share across threads.
 Curves are plain float64 arrays with one value per grid point; a dataset
-stores them stacked row-wise.
+stores them stacked row-wise.  A dataset's class summary, ``moments``, is
+computed once per dataset object and kept; from Python 3.12 two threads may
+both compute it, which is harmless because the values are equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +22,7 @@ __all__ = [
     "Grid",
     "make_grid",
     "LabeledDataset",
+    "ClassMoments",
     "SelectionResult",
     "class_prior",
 ]
@@ -39,7 +43,7 @@ class TrainingError(RkfdaError, ValueError):
     """A classifier could not be fitted on the given training data.
 
     Also a ValueError, so callers that catch ValueError still see it; the
-    bench counts it, and only it and SingularMatrixError, as a failed run.
+    bench counts it, and only it, as a failed run.
     """
 
 
@@ -173,6 +177,53 @@ class LabeledDataset:
 
     def class_curves(self, label: int) -> np.ndarray:
         return self.curves[self.labels == label]
+
+    @cached_property
+    def moments(self) -> "ClassMoments":
+        """The class summary from one split by class, computed on first access and kept."""
+        x0, x1 = self.class_curves(0), self.class_curves(1)
+        n0, n1 = x0.shape[0], x1.shape[0]
+        if n0 == 0 or n1 == 0:
+            raise TrainingError("both classes must be present")
+        m0, m1 = x0.mean(axis=0), x1.mean(axis=0)
+        z = np.vstack([(x0 - m0) / np.sqrt(n0), (x1 - m1) / np.sqrt(n1)])
+        z.setflags(write=False)  # handed over: ClassMoments keeps it without a copy
+        return ClassMoments(grid=self.grid, m0=m0, m1=m1, diff=m1 - m0, n0=n0, n1=n1, z=z)
+
+
+@dataclass(frozen=True, eq=False)
+class ClassMoments:
+    """Class summary of a dataset: pointwise class means, m1 - m0, class sizes, Z.
+
+    ``z`` holds the class-centred curves, class 0 first: row l of class r is
+    (X_rl - Xbar_r) / sqrt(n_r), so ``z.T @ z`` is the pooled covariance and
+    one of its columns costs O(n * G).
+    """
+
+    grid: Grid
+    m0: np.ndarray
+    m1: np.ndarray
+    diff: np.ndarray
+    n0: int
+    n1: int
+    z: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for name in ("m0", "m1", "diff", "z"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+
+    def diff_at(self, indices) -> np.ndarray:
+        return self.diff[np.asarray(indices, dtype=int)]
+
+    def midpoint_at(self, indices) -> np.ndarray:
+        idx = np.asarray(indices, dtype=int)
+        return (self.m0[idx] + self.m1[idx]) / 2.0
+
+    def require_covariance(self) -> None:
+        """Raise TrainingError unless each class has the two curves a covariance needs."""
+        for label, n in ((0, self.n0), (1, self.n1)):
+            if n < 2:
+                raise TrainingError(f"class {label} needs at least 2 samples for covariance")
 
 
 def class_prior(dataset: LabeledDataset) -> float:

@@ -8,53 +8,24 @@ per-class covariance estimates with divisor n_r,
 i.e. twice the balanced pooled estimate.  The constant factor is kept
 deliberately: the Mahalanobis selection score's argmax and the equal-prior
 linear rule's sign are both invariant to it.
+
+The class means and centred curves are read from ``LabeledDataset.moments``,
+computed once per dataset object and kept; from Python 3.12 two threads may
+both compute it, which is harmless because the values are equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Grid, LabeledDataset, TrainingError, _frozen_array
+from .core import ClassMoments, LabeledDataset, TrainingError
 
 __all__ = ["ClassMoments", "class_moments", "pooled_cov", "centred_curves"]
 
 
-@dataclass(frozen=True, eq=False)
-class ClassMoments:
-    """Pointwise class means on the full grid and their difference m1 - m0."""
-
-    grid: Grid
-    m0: np.ndarray
-    m1: np.ndarray
-    diff: np.ndarray
-    n0: int
-    n1: int
-
-    def __post_init__(self):
-        for name in ("m0", "m1", "diff"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-
-    def diff_at(self, indices) -> np.ndarray:
-        return self.diff[np.asarray(indices, dtype=int)]
-
-    def midpoint_at(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=int)
-        return (self.m0[idx] + self.m1[idx]) / 2.0
-
-
 def class_moments(dataset: LabeledDataset) -> ClassMoments:
-    """Per-class pointwise sample means and their difference."""
-    x0 = dataset.class_curves(0)
-    x1 = dataset.class_curves(1)
-    if x0.shape[0] == 0 or x1.shape[0] == 0:
-        raise TrainingError("both classes must be present")
-    m0 = x0.mean(axis=0)
-    m1 = x1.mean(axis=0)
-    return ClassMoments(
-        grid=dataset.grid, m0=m0, m1=m1, diff=m1 - m0, n0=x0.shape[0], n1=x1.shape[0]
-    )
+    """Per-class pointwise sample means and their difference: ``dataset.moments``."""
+    return dataset.moments
 
 
 def pooled_cov(dataset: LabeledDataset, points=None) -> np.ndarray:
@@ -85,10 +56,6 @@ def centred_curves(dataset: LabeledDataset) -> np.ndarray:
     column costs O(n * G) without forming the G x G matrix.  Requires at
     least two samples per class, like :func:`pooled_cov`.
     """
-    moments = class_moments(dataset)
-    blocks = []
-    for label, mean, n in ((0, moments.m0, moments.n0), (1, moments.m1, moments.n1)):
-        if n < 2:
-            raise TrainingError(f"class {label} needs at least 2 samples for covariance")
-        blocks.append((dataset.class_curves(label) - mean) / np.sqrt(n))
-    return np.vstack(blocks)
+    moments = dataset.moments
+    moments.require_covariance()
+    return moments.z

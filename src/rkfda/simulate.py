@@ -171,17 +171,9 @@ class SumTrend:
 TrendSpec = Union[ZeroTrend, LinearTrend, RandomSlopeTrend, PeakTrend, HillsideTrend, SumTrend]
 
 
-def _has_random_part(trend: TrendSpec) -> bool:
-    if isinstance(trend, RandomSlopeTrend):
-        return True
-    if isinstance(trend, SumTrend):
-        return any(_has_random_part(term) for term in trend.terms)
-    return False
-
-
 def trend_eval(spec: TrendSpec, t) -> np.ndarray | float:
     """Evaluate a deterministic trend; random-slope trends need an RNG stream."""
-    if _has_random_part(spec):
+    if _random_terms(spec):
         raise ValueError("random-slope trends require trend_realize with an rng")
     tt = np.asarray(t, dtype=float)
     out = spec.values(tt)
@@ -370,19 +362,8 @@ class ClassLaw:
         """Weighted deterministic mean; random-slope parts average to zero."""
         total = np.zeros_like(points)
         for w, comp in zip(self.weights, self.components):
-            total = total + w * _deterministic_mean(comp.trend, points)
+            total = total + w * _trend_values(comp.trend, points, lambda term: 0.0)
         return total
-
-
-def _deterministic_mean(trend: TrendSpec, points: np.ndarray) -> np.ndarray:
-    if isinstance(trend, RandomSlopeTrend):
-        return np.zeros_like(points)
-    if isinstance(trend, SumTrend):
-        total = np.zeros_like(points)
-        for term in trend.terms:
-            total = total + _deterministic_mean(term, points)
-        return total
-    return trend.values(points)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import scipy.spatial.distance
 from rkfda import io
 from rkfda.bench import (
     DEFAULT_K_GRID,
+    METHODS,
     ExperimentPlan,
     _accuracies,
     _apply_method,
@@ -30,7 +31,7 @@ from rkfda.classify import (
     rkc_decisions,
     train_rkc,
 )
-from rkfda.core import TrainingError
+from rkfda.core import LabeledDataset, TrainingError
 from rkfda.kernels import BrownianKernel, OrnsteinUhlenbeckKernel
 from rkfda.rkhs import bayes_error
 from rkfda.select import SelectionConfig, greedy_select, oracle_source_from_dataset
@@ -530,6 +531,23 @@ def test_rk_methods_score_the_test_set_without_refitting_or_solving(monkeypatch)
     for method in ("RK-C", "RK_B-C"):
         acc, d = _apply_method(method, train, val, test, plan)
         assert 0.0 <= acc <= 1.0 and 1 <= d <= 5
+
+
+def test_one_pass_over_every_method_splits_the_training_set_by_class_once(monkeypatch):
+    train, val, test = _samples("G4", 50, 100, 100, seed=28)
+    names = {train: "train", val: "val", test: "test"}
+    splits = []
+    split = LabeledDataset.class_curves
+
+    def counted(self, label):
+        splits.append((names.get(self), label))
+        return split(self, label)
+
+    monkeypatch.setattr(LabeledDataset, "class_curves", counted)
+    plan = ExperimentPlan(models=("-",), sizes=(train.size,), methods=METHODS, d_max=5)
+    for method in METHODS:
+        _apply_method(method, train, val, test, plan)
+    assert splits == [("train", 0), ("train", 1)]
 
 
 def _assert_centroid_matches_loop(train, val, test, r_max=20):

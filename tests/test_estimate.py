@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from rkfda import LabeledDataset, class_moments, make_grid, pooled_cov
+from rkfda import LabeledDataset, TrainingError, class_moments, make_grid, pooled_cov
 from rkfda.estimate import centred_curves
 from rkfda.kernels import BrownianKernel
-from rkfda.simulate import gen_process
+from rkfda.simulate import builtin_catalog, gen_model_dataset, gen_process, standard_grid
 
 
 def _dataset(curves0, curves1, grid=None):
@@ -147,3 +147,60 @@ def test_centred_curves_factor_the_pooled_covariance():
     np.testing.assert_allclose(z.T @ z, pooled_cov(ds), rtol=1e-12, atol=1e-14)
     with pytest.raises(ValueError):
         centred_curves(_dataset([[0.0, 0.0]], [[1.0, 1.0], [2.0, 2.0]]))
+
+
+# The class summary is computed once per dataset and kept.
+
+
+def _per_call_moments(ds):
+    """m0, m1, diff and Z as class_moments and centred_curves computed them on every call."""
+    x0, x1 = ds.class_curves(0), ds.class_curves(1)
+    m0, m1 = x0.mean(axis=0), x1.mean(axis=0)
+    blocks = [
+        (ds.class_curves(label) - mean) / np.sqrt(n)
+        for label, mean, n in ((0, m0, len(x0)), (1, m1, len(x1)))
+    ]
+    return m0, m1, m1 - m0, np.vstack(blocks)
+
+
+def test_class_summary_matches_the_per_call_formulas_bit_for_bit():
+    smallest_class = []
+    for model_id, model in sorted(builtin_catalog().items()):
+        ds = gen_model_dataset(model, 50, standard_grid(100), (5, 0))
+        m = class_moments(ds)
+        for got, want in zip((m.m0, m.m1, m.diff, m.z), _per_call_moments(ds)):
+            np.testing.assert_array_equal(got, want)
+        assert (m.n0, m.n1) == (len(ds.class_curves(0)), len(ds.class_curves(1)))
+        assert centred_curves(ds) is m.z
+        smallest_class.append(min(m.n0, m.n1))
+    assert min(smallest_class) <= 10  # some draws are far from balanced
+
+
+def test_class_summary_is_computed_once_and_read_only():
+    rng = np.random.default_rng(9)
+    ds = _dataset(rng.normal(size=(4, 5)), rng.normal(size=(6, 5)))
+    m = class_moments(ds)
+    assert class_moments(ds) is m and ds.moments is m
+    for name in ("m0", "m1", "diff", "z"):
+        values = getattr(m, name)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+
+
+def test_a_one_class_dataset_has_no_summary_on_any_access():
+    ds = LabeledDataset(grid=make_grid(2, 0, 1), curves=np.zeros((3, 2)), labels=np.array([0, 0, 0]))
+    for _ in range(2):  # the failure is not cached: each access raises again
+        with pytest.raises(TrainingError, match="both classes must be present"):
+            class_moments(ds)
+    with pytest.raises(TrainingError):
+        centred_curves(ds)
+
+
+def test_one_class_0_curve_gives_moments_but_no_centred_curves():
+    ds = _dataset([[0.0, 1.0]], [[1.0, 1.0], [2.0, 3.0]])
+    m = class_moments(ds)
+    assert (m.n0, m.n1) == (1, 2)
+    np.testing.assert_array_equal(m.diff, [1.5, 1.0])
+    with pytest.raises(TrainingError, match="class 0 needs at least 2 samples"):
+        centred_curves(ds)

@@ -69,6 +69,35 @@ def test_sum_trend():
     assert trend_eval(s, 1.0) == pytest.approx(2.0 + 1.0)
 
 
+def _deterministic_mean(trend, points):
+    """A trend's mean on ``points``: random slopes average to zero."""
+    if isinstance(trend, RandomSlopeTrend):
+        return np.zeros_like(points)
+    if isinstance(trend, SumTrend):
+        total = np.zeros_like(points)
+        for term in trend.terms:
+            total = total + _deterministic_mean(term, points)
+        return total
+    return trend.values(points)
+
+
+def _class_mean(law, points):
+    total = np.zeros_like(points)
+    for w, comp in zip(law.weights, law.components):
+        total = total + w * _deterministic_mean(comp.trend, points)
+    return total
+
+
+def test_mean_diff_matches_the_deterministic_mean_walker():
+    models = [m for m in builtin_catalog().values() if isinstance(m, GaussianModel)]
+    assert len(models) == 16
+    for count in (100, 1000):
+        points = standard_grid(count).points
+        for model in models:
+            want = _class_mean(model.class1, points) - _class_mean(model.class0, points)
+            np.testing.assert_array_equal(model.mean_diff(points), want)
+
+
 def test_peak_derivatives_quadrature_orthonormal():
     # slopes of the triangular bumps form an orthonormal step-function family
     g = make_grid(1000, 0, 1)
