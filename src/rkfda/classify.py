@@ -7,9 +7,9 @@ pooled covariance and estimated mean difference; its score is
     alpha . (x(points) - midpoint) - log((1-p)/p)
 
 and coincides with the optimal discriminant when the true mean difference is
-a finite kernel expansion at those points.  :func:`rkc_decisions` gives the
-decisions of the rule on every prefix of a greedy selection from the
-selection's Cholesky factor.  ``KNNClassifier`` votes among the
+a finite kernel expansion at those points.  The Cholesky factor of a greedy
+scan serves :func:`rkc_decisions`, on every prefix of a selection, and
+:func:`train_rkc`, scanning given points.  ``KNNClassifier`` votes among the
 k nearest training curves in the quadrature-scaled Euclidean metric; an
 exact distance tie at the k-th place goes to the smaller training index.
 :func:`knn_decisions` gives the votes of a whole k grid from squared
@@ -42,18 +42,19 @@ import scipy.linalg
 import scipy.spatial.distance
 
 from .core import (
+    GRID_SPACING_RTOL,
     Grid,
     LabeledDataset,
     SelectionResult,
-    SingularMatrixError,
     TrainingError,
     _frozen_array,
     class_prior,
 )
-from .estimate import centred_curves, class_moments, pooled_cov
-# discretized_eigen is unused here but stays importable from this module,
-# where perfbench/tracing.py wraps it.
+# pooled_cov, discretized_eigen, gram and solve_spd are unused here but stay
+# importable from this module, where perfbench/tracing.py wraps them.
+from .estimate import centred_curves, class_moments, pooled_cov  # noqa: F401
 from .kernels import KernelSpec, discretized_eigen, gram, solve_spd  # noqa: F401
+from .select import SelectionConfig, greedy_select, oracle_source_from_dataset
 
 __all__ = [
     "RKCClassifier",
@@ -176,25 +177,24 @@ def train_rkc(
     ``prior`` overrides the dataset's prior mode.  Passing ``kernel`` swaps
     the pooled covariance for the analytic Gram of a known covariance, the
     oracle variant; class means are estimated from the sample either way.
-    Raises TrainingError when the covariance at the points is numerically
-    singular by :func:`~rkfda.kernels.solve_spd`'s pivot rule, e.g. the
-    pooled covariance at a repeated point; no ridge is added.
+    alpha = L^{-T} L^{-1} m from the factor L of the greedy scan restricted to
+    the points, which keeps them in scan order; raises TrainingError when it
+    keeps fewer than given (e.g. a repeated point), and adds no ridge.
     """
     moments, log_prior_odds = _rkc_moments(dataset, prior)
     idx = dataset.grid.indices_of(points)
-    if kernel is None:
-        cov = pooled_cov(dataset, dataset.grid.points[idx])
-    else:
-        cov = gram(kernel, dataset.grid.points[idx])
-    try:
-        alphas = solve_spd(cov, moments.diff_at(idx))
-    except SingularMatrixError as exc:
-        raise TrainingError("covariance at the selected points is singular") from exc
+    source = dataset if kernel is None else oracle_source_from_dataset(dataset, kernel)
+    # the smallest separation the scan accepts, which any two grid points keep
+    delta = dataset.grid.spacing * (1.0 - GRID_SPACING_RTOL)
+    scan = greedy_select(source, SelectionConfig(idx.size, delta, candidate_mask=idx, rel_tol=0.0))
+    if len(scan) < idx.size:
+        raise TrainingError("covariance at the selected points is singular")
+    alphas = scipy.linalg.cho_solve((scan.factor, True), moments.diff_at(scan.indices), check_finite=False)
     return RKCClassifier(
         grid=dataset.grid,
-        indices=idx,
+        indices=scan.indices,
         alphas=alphas,
-        midpoint=moments.midpoint_at(idx),
+        midpoint=moments.midpoint_at(scan.indices),
         log_prior_odds=log_prior_odds,
     )
 

@@ -99,10 +99,8 @@ def _cmd_train(args) -> int:
         clf = train_rkc(dataset, points, kernel=kernel)
     elif args.method == "knn":
         clf = train_knn(dataset, args.k)
-    elif args.method == "centroid":
+    else:  # argparse choices leave only "centroid"
         clf = train_centroid(dataset, args.r)
-    else:  # argparse choices make this unreachable
-        raise DatasetFormatError(f"unknown method {args.method!r}")
     io.write_classifier(clf, args.out)
     return 0
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import importlib
 import math
 import os
@@ -44,6 +46,7 @@ from rkfda.simulate import (
     gen_model_dataset,
     standard_grid,
 )
+from test_classify import _refit_rkc
 
 
 def _gauss_model(model_id, slope1, relevant=()):
@@ -410,6 +413,27 @@ def test_preset_plans_load():
         assert io.read_plan(path).runs >= 1
 
 
+# plans/full-protocol.ini at runs = 1: every catalog model, size and method,
+# 640 rows.  Recorded with numpy 2.4.6, scipy 1.17.1 and OpenBLAS on core
+# SkylakeX; another build's BLAS may round a near-tie decision the other way.
+# A change that alters reports on purpose re-records both the rows and the
+# digest, and says so in CHANGES.md.
+FULL_PROTOCOL_GOLDEN = Path(__file__).parent / "data" / "full-protocol-runs1.csv"
+FULL_PROTOCOL_SHA256 = "a8f57ce33a5aa8029ca80ac8cf3bf47df48c43331dc75ef7d2cc3350c02857df"
+
+
+def test_full_protocol_report_is_byte_identical_to_its_golden(tmp_path):
+    expected = FULL_PROTOCOL_GOLDEN.read_bytes()
+    assert hashlib.sha256(expected).hexdigest() == FULL_PROTOCOL_SHA256
+    plan = io.read_plan(Path(__file__).parent.parent / "plans" / "full-protocol.ini")
+    io.write_report(run_experiment(dataclasses.replace(plan, runs=1)), tmp_path / "report.csv")
+    got = (tmp_path / "report.csv").read_bytes()
+    for row, (want, have) in enumerate(zip(expected.splitlines(), got.splitlines())):
+        assert have == want, f"report row {row} differs"
+    assert len(got.splitlines()) == len(expected.splitlines()) == 641
+    assert hashlib.sha256(got).hexdigest() == FULL_PROTOCOL_SHA256
+
+
 def test_programming_errors_in_a_method_propagate(monkeypatch):
     import rkfda.bench
 
@@ -497,8 +521,9 @@ def test_knn_validation_matches_the_per_k_loop_on_odd_grids(k_grid):
         _assert_knn_matches_loop(*_samples(model_id, 30, 200, 200, seed=23), k_grid=k_grid)
 
 
-# The per-candidate loop that one-pass validation replaced: one train_rkc
-# refit and one error_rate per d, one error_rate per centroid order.
+# The per-candidate loop that one-pass validation replaced: one refit and one
+# error_rate per d, one error_rate per centroid order.  The RK refit is the
+# linear rule's old fit, a second covariance and solve_spd (_refit_rkc).
 
 
 def _assert_rk_matches_loop(train, val, test, method, d_max=10):
@@ -507,12 +532,16 @@ def _assert_rk_matches_loop(train, val, test, method, d_max=10):
     selection = greedy_select(source, SelectionConfig(d_max=d_max, rel_tol=0.0))
 
     def fit(d):
-        return train_rkc(train, selection.points[:d], kernel=kernel)
+        return _refit_rkc(train, selection.points[:d], kernel=kernel)
 
     ds = range(1, len(selection) + 1)
     d_loop, clf_loop = _validated(ds, fit, val)
     loop_accs = [1.0 - error_rate(fit(d), val) for d in ds]
-    np.testing.assert_array_equal(_accuracies(rkc_decisions(train, selection, val.curves), val.labels), loop_accs)
+    decisions = rkc_decisions(train, selection, val.curves)
+    np.testing.assert_array_equal(_accuracies(decisions, val.labels), loop_accs)
+    for d in ds:
+        clf = train_rkc(train, selection.points[:d], kernel=kernel)
+        np.testing.assert_array_equal(clf.decide(val.curves), decisions[d - 1])
     plan = ExperimentPlan(models=("-",), sizes=(train.size,), d_max=d_max)
     test_acc, d = _apply_method(method, train, val, test, plan)
     assert d == d_loop

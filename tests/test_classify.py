@@ -25,18 +25,20 @@ from rkfda import (
     train_knn,
     train_rkc,
 )
-from rkfda.bench import ExperimentPlan, _apply_method, _knn_accuracies
+from rkfda.bench import ExperimentPlan, _apply_method, _knn_accuracies, _model_entropy
 from rkfda.classify import (
     _BLOCK_BYTES,
     CentroidClassifier,
     KNNClassifier,
     _knn_decisions_exact,
+    _rkc_moments,
     centroid_classifiers,
     centroid_decisions,
     knn_decisions,
     rkc_decisions,
 )
 from rkfda.core import SelectionResult
+from rkfda.kernels import BrownianKernel, gram, solve_spd
 from rkfda.select import SelectionConfig, greedy_select
 from rkfda.simulate import builtin_catalog, gen_model_dataset, standard_grid
 
@@ -58,6 +60,25 @@ def _separable(rng, n=20, spread=0.2):
     x0 = rng.normal(0.0, spread, size=(n, 2))
     x1 = rng.normal(10.0, spread, size=(n, 2))
     return _dataset(x0, x1, grid=g, fixed_prior=0.5), g
+
+
+def _refit_rkc(dataset, points, prior=None, kernel=None):
+    """The linear rule as fitted before the greedy scan's factor served it.
+
+    A second covariance at the points, the pooled estimate or the analytic
+    Gram, factored again by ``solve_spd``; the points keep the given order.
+    """
+    moments, log_prior_odds = _rkc_moments(dataset, prior)
+    idx = dataset.grid.indices_of(points)
+    at = dataset.grid.points[idx]
+    cov = pooled_cov(dataset, at) if kernel is None else gram(kernel, at)
+    return RKCClassifier(
+        grid=dataset.grid,
+        indices=idx,
+        alphas=solve_spd(cov, moments.diff_at(idx)),
+        midpoint=moments.midpoint_at(idx),
+        log_prior_odds=log_prior_odds,
+    )
 
 
 def test_rkc_separable_threshold():
@@ -124,8 +145,8 @@ def test_rkc_decisions_score_every_prefix_like_train_rkc(fixed_prior):
     decisions = rkc_decisions(ds, selection, probes)
     assert decisions.shape == (5, 41)
     for d in range(1, 6):
-        clf = train_rkc(ds, selection.points[:d])
-        np.testing.assert_array_equal(decisions[d - 1], clf.decide(probes))
+        np.testing.assert_array_equal(decisions[d - 1], _refit_rkc(ds, selection.points[:d]).decide(probes))
+        np.testing.assert_array_equal(decisions[d - 1], train_rkc(ds, selection.points[:d]).decide(probes))
     if fixed_prior == 0.5:
         assert np.all(decisions[:, -1] == 0)
 
@@ -153,6 +174,69 @@ def test_rkc_training_failure_on_a_repeated_point():
     train_rkc(ds, g.points[[1, 2]])
     with pytest.raises(TrainingError, match="singular"):
         train_rkc(ds, g.points[[2, 2]])
+
+
+# Training sets of the bench's streams (plan seed 0, n = 200) whose selections
+# reach prefixes so ill-conditioned that a second estimate and factorization
+# of the covariance gave another rule: it flipped up to 47 % of the test
+# decisions (L4-sB, d = 10) or failed to fit (L1-ssB, d = 8 to 10).
+@pytest.mark.parametrize("model_id, run", [("L1-ssB", 5), ("L4-sB", 0), ("L4-ssB", 0)])
+def test_train_rkc_decides_like_rkc_decisions_on_ill_conditioned_prefixes(model_id, run):
+    model = builtin_catalog()[model_id]
+    grid = standard_grid(1000)
+    entropy = _model_entropy(model_id)
+    train = gen_model_dataset(model, 200, grid, (0, entropy, 200, run, 0))
+    test = gen_model_dataset(model, 1000, grid, (0, entropy, 200, run, 2))
+    selection = greedy_select(train, SelectionConfig(d_max=10, rel_tol=0.0))
+    decisions = rkc_decisions(train, selection, test.curves)
+    for d in range(1, len(selection) + 1):
+        clf = train_rkc(train, selection.points[:d])
+        np.testing.assert_array_equal(clf.indices, selection.indices[:d])
+        np.testing.assert_array_equal(clf.decide(test.curves), decisions[d - 1])
+
+
+@pytest.mark.parametrize("kernel", [None, BrownianKernel()])
+def test_train_rkc_ignores_the_order_of_its_points(kernel):
+    grid = standard_grid(100)
+    train = gen_model_dataset(builtin_catalog()["G4"], 50, grid, 31)
+    points = grid.points[[70, 5, 33, 91, 50, 12]]
+    fitted = train_rkc(train, points, kernel=kernel)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        clf = train_rkc(train, rng.permutation(points), kernel=kernel)
+        for name in ("indices", "alphas", "midpoint"):
+            np.testing.assert_array_equal(getattr(clf, name), getattr(fitted, name))
+        assert clf.log_prior_odds == fitted.log_prior_odds
+
+
+def test_train_rkc_fits_adjacent_points_of_an_offset_grid():
+    # steps of t = 1e4 + j/200 round up to 3.6e-10 of a step below the first
+    grid = make_grid(200, 1e4, 1e4 + 1)
+    rng = np.random.default_rng(33)
+    ds = _dataset(np.cumsum(rng.normal(size=(20, 200)), axis=1),
+                  np.cumsum(rng.normal(size=(20, 200)), axis=1) + 1.0, grid=grid)
+    for i in range(grid.count - 1):
+        np.testing.assert_array_equal(np.sort(train_rkc(ds, grid.points[[i, i + 1]]).indices), [i, i + 1])
+
+
+def test_train_rkc_neither_estimates_nor_solves_a_second_covariance(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("train_rkc estimated or solved a second covariance")
+
+    # by module path: the package's own ``rkfda.classify`` is the classify function
+    for path, name in (
+        ("rkfda.classify", "solve_spd"),
+        ("rkfda.kernels", "solve_spd"),
+        ("rkfda.classify", "pooled_cov"),
+        ("rkfda.estimate", "pooled_cov"),
+        ("rkfda.select", "pooled_cov"),
+        ("rkfda.classify", "gram"),
+    ):
+        monkeypatch.setattr(importlib.import_module(path), name, forbidden)
+    grid = standard_grid(100)
+    train = gen_model_dataset(builtin_catalog()["G4"], 50, grid, 32)
+    for kernel in (None, BrownianKernel()):
+        assert train_rkc(train, grid.points[[10, 40, 80]], kernel=kernel).alphas.shape == (3,)
 
 
 def test_rkc_toy_consistency_at_the_knots():

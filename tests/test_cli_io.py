@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from rkfda import LabeledDataset, io, make_grid
-from rkfda.classify import train_centroid, train_knn, train_rkc
+from rkfda.bench import _model_entropy
+from rkfda.classify import rkc_decisions, train_centroid, train_knn, train_rkc
 from rkfda.cli import main
 from rkfda.core import DatasetFormatError
+from rkfda.select import SelectionConfig, greedy_select
 from rkfda.simulate import builtin_catalog, gen_model_dataset, standard_grid
 
 
@@ -277,6 +279,29 @@ def test_cli_train_rkc_at_a_repeated_point_is_a_numeric_failure(tmp_path, capsys
     assert code == 4
     assert capsys.readouterr().out.strip().splitlines()[-1] == "error_code=numeric-failure"
     assert not (tmp_path / "m.txt").exists()
+
+
+def test_cli_rkc_model_file_predicts_like_the_bench_rule_on_a_dense_grid(tmp_path):
+    # the bench's training set of L4-sB run 0 at n = 200, G = 1000, where a
+    # second covariance fit at d = 10 flipped 47 % of 1,000 test decisions
+    model = builtin_catalog()["L4-sB"]
+    grid = standard_grid(1000)
+    entropy = _model_entropy("L4-sB")
+    paths = {}
+    for name, size, stream in (("train", 200, 0), ("test", 200, 2)):
+        paths[name] = tmp_path / f"{name}.csv"
+        io.write_dataset(gen_model_dataset(model, size, grid, (0, entropy, 200, 0, stream)), paths[name])
+    model_path, pred_path = tmp_path / "rkc.txt", tmp_path / "pred.csv"
+    assert main(["train", "--data", str(paths["train"]), "--method", "rkc", "--d-max", "10",
+                 "--out", str(model_path)]) == 0
+    assert main(["predict", "--model", str(model_path), "--data", str(paths["test"]),
+                 "--out", str(pred_path)]) == 0
+    labels = np.array([int(l.split(",")[1]) for l in pred_path.read_text().strip().splitlines()[1:]])
+    train, test = io.read_dataset(paths["train"]), io.read_dataset(paths["test"])
+    selection = greedy_select(train, SelectionConfig(d_max=10, rel_tol=0.0))
+    d = io.read_classifier(model_path).indices.size
+    assert d == 10
+    np.testing.assert_array_equal(labels, rkc_decisions(train, selection, test.curves)[d - 1])
 
 
 def test_cli_dataset_parse_failure(tmp_path, capsys):
