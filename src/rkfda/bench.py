@@ -68,7 +68,7 @@ from .classify import (  # noqa: F401
     train_knn,
     train_rkc,
 )
-from .core import Grid, TrainingError
+from .core import GRID_SPACING_RTOL, Grid, TrainingError
 from .kernels import BrownianKernel
 from .select import SelectionConfig, greedy_select, oracle_source_from_dataset
 from .simulate import ModelSpec, builtin_catalog, gen_model_dataset, standard_grid
@@ -365,7 +365,7 @@ def variable_recovery_histogram(
     ent = _model_entropy(model.id)
     counts = np.zeros(grid.count, dtype=int)
     matched = np.zeros(runs, dtype=int)
-    tol = match_steps * grid.spacing * (1.0 + 1e-9)
+    tol = match_steps * grid.spacing * (1.0 + GRID_SPACING_RTOL)
     config = SelectionConfig(d_max=d, rel_tol=0.0)
     with _blas_pinned():
         for run_idx in range(runs):

@@ -19,7 +19,9 @@ may use), and a screen: a row whose k-th and (k+1)-th squared distances lie
 further apart than twice a rounding bound tau has a certain neighbour set,
 and every other row (exact and near ties) is ranked again by ``cdist`` and
 (distance, index), so the decisions, tie rule included, are those of the
-exact rule.  Training and query curves must be finite.
+exact rule.  ``scipy.spatial`` is imported on the first such row, not with
+this module: no benchmark plan has needed it, and it costs every process
+about 5 MB and 66 modules.  Training and query curves must be finite.
 ``CentroidClassifier`` projects a curve onto a truncated eigenbasis contrast
 and assigns the class whose projected centroid is closer;
 :func:`centroid_decisions` decides for several truncation orders from one
@@ -39,10 +41,8 @@ from typing import Union
 
 import numpy as np
 import scipy.linalg
-import scipy.spatial.distance
 
 from .core import (
-    GRID_SPACING_RTOL,
     Grid,
     LabeledDataset,
     SelectionResult,
@@ -184,9 +184,7 @@ def train_rkc(
     moments, log_prior_odds = _rkc_moments(dataset, prior)
     idx = dataset.grid.indices_of(points)
     source = dataset if kernel is None else oracle_source_from_dataset(dataset, kernel)
-    # the smallest separation the scan accepts, which any two grid points keep
-    delta = dataset.grid.spacing * (1.0 - GRID_SPACING_RTOL)
-    scan = greedy_select(source, SelectionConfig(idx.size, delta, candidate_mask=idx, rel_tol=0.0))
+    scan = greedy_select(source, SelectionConfig(idx.size, candidate_mask=idx, rel_tol=0.0))
     if len(scan) < idx.size:
         raise TrainingError("covariance at the selected points is singular")
     alphas = scipy.linalg.cho_solve((scan.factor, True), moments.diff_at(scan.indices), check_finite=False)
@@ -368,12 +366,16 @@ def _knn_decisions_exact(grid: Grid, train_curves, train_labels, curves, ks) -> 
     """The kNN rule that :func:`knn_decisions` reproduces, from exact ranks.
 
     Same arguments and result.  Distances come from ``cdist`` on the
-    sqrt(dt)-scaled curves; one partial sort keeps the ``max(ks)`` nearest
-    curves of each row, and a cumulative sum of their labels in (distance,
-    training index) order gives every vote.  Rows in which further curves
-    tie the ``max(ks)``-th distance are ranked in full, so exact ties always
-    go to the smaller training index.
+    sqrt(dt)-scaled curves; ``scipy.spatial`` is imported here, on the first
+    call, so that a process whose kNN screen is never unsure does not load
+    it.  One partial sort keeps the ``max(ks)`` nearest curves of each row,
+    and a cumulative sum of their labels in (distance, training index) order
+    gives every vote.  Rows in which further curves tie the ``max(ks)``-th
+    distance are ranked in full, so exact ties always go to the smaller
+    training index.
     """
+    import scipy.spatial.distance
+
     ks = np.asarray(ks, dtype=int)
     train_labels = np.asarray(train_labels)
     k_max = int(ks.max())

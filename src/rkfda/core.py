@@ -102,11 +102,11 @@ class Grid:
         return float(self.points[1] - self.points[0])
 
     def index_of(self, t: float) -> int:
-        """Index of the grid point equal to ``t`` (within spacing*1e-9)."""
+        """Index of the grid point equal to ``t`` (within GRID_SPACING_RTOL of a step)."""
         return int(self.indices_of([t])[0])
 
     def indices_of(self, times) -> np.ndarray:
-        """Indices of the grid points equal to ``times`` (each within spacing*1e-9).
+        """Indices of the grid points equal to ``times`` (each within GRID_SPACING_RTOL of a step).
 
         Raises ValueError naming the first time that is NaN, infinite or off
         the grid.
@@ -115,7 +115,7 @@ class Grid:
         pos = np.rint((t - self.points[0]) / self.spacing)
         inside = (pos >= 0) & (pos < self.count)  # False for NaN and +-inf
         idx = np.where(inside, pos, 0).astype(int)
-        bad = ~inside | (np.abs(self.points[idx] - t) > self.spacing * 1e-9)
+        bad = ~inside | (np.abs(self.points[idx] - t) > self.spacing * GRID_SPACING_RTOL)
         if bad.any():
             raise ValueError(f"time {float(t[np.argmax(bad)])!r} is not a grid point")
         return idx

@@ -5,8 +5,8 @@ Dataset files are comma-separated UTF-8 with a header row
     label,t_<time1>,t_<time2>,...
 
 where the header carries the grid times and each following row holds a 0/1
-label and one curve value per grid point.  Values are written with enough
-digits for an exact float64 round trip.
+label and one curve value per grid point.  Times and values are written with
+enough digits for an exact float64 round trip.
 
 Classifier model files are versioned plain text with a format tag on the
 first line; each subsequent line is "key value...".  Reports and histograms
@@ -44,7 +44,7 @@ def _fmt(x: float) -> str:
 
 def write_dataset(dataset: LabeledDataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = ",".join(["label"] + [f"t_{format(t, '.12g')}" for t in dataset.grid.points])
+        header = ",".join(["label"] + [f"t_{float(t)!r}" for t in dataset.grid.points])
         fh.write(header + "\n")
         for label, row in zip(dataset.labels, dataset.curves):
             fh.write(str(int(label)) + "," + ",".join(_fmt(v) for v in row) + "\n")

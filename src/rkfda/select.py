@@ -31,11 +31,12 @@ both share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, LabeledDataset, SelectionResult, TrainingError
+from .core import GRID_SPACING_RTOL, Grid, LabeledDataset, SelectionResult, TrainingError
 # pooled_cov, gram and mahalanobis_psi are unused here but stay importable
 # from this module, where perfbench/tracing.py wraps them.
 from .estimate import centred_curves, class_moments, pooled_cov  # noqa: F401
@@ -56,7 +57,11 @@ class SelectionConfig:
 
     ``delta`` is the minimum time separation between selected points and
     defaults to one grid step, the smallest value that keeps grid points
-    distinct.  ``candidate_mask`` restricts the search to a subset of grid
+    distinct.  It is counted in grid steps: two points are far enough apart
+    when their indices differ by ``ceil(delta / spacing - GRID_SPACING_RTOL)``
+    or more, so on a grid offset from 0, where the times round to as much as
+    a few 1e-10 of a step apart, adjacent points still count as one step
+    apart.  ``candidate_mask`` restricts the search to a subset of grid
     indices (useful to exclude degenerate endpoints).  The search stops at
     ``d_max`` points or when the best candidate improves the score by less
     than ``rel_tol`` relative to its current level.  Candidates with
@@ -152,9 +157,10 @@ def greedy_select(source, config: SelectionConfig) -> SelectionResult:
     else:
         candidates = np.arange(grid.count)
     delta = grid.spacing if config.delta is None else float(config.delta)
-    if delta < grid.spacing * (1.0 - 1e-9):
+    if delta < grid.spacing * (1.0 - GRID_SPACING_RTOL):
         raise ValueError("delta must be at least one grid step")
-    sep_tol = delta - 1e-12 * max(1.0, delta)
+    # points this many indices apart or more are delta-separated
+    sep_steps = math.ceil(delta / grid.spacing - GRID_SPACING_RTOL)
 
     allowed = np.zeros(grid.count, dtype=bool)  # in the mask and delta-separated
     allowed[candidates] = True
@@ -189,7 +195,7 @@ def greedy_select(source, config: SelectionConfig) -> SelectionResult:
             psi += w * w
             chosen.append(j)
             trace.append(psi)
-            allowed &= np.abs(grid.points - grid.points[j]) >= sep_tol
+            allowed[max(0, j - sep_steps + 1) : j + sep_steps] = False
     d = len(chosen)
     return SelectionResult(
         points=grid.points[chosen],

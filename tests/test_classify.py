@@ -1,9 +1,11 @@
 import concurrent.futures
 import importlib
 import os
+import subprocess
 import sys
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +389,56 @@ def _pairs(rng, twin, n_pairs=40, count=8):
     labels = np.repeat([0, 1], n_pairs)
     perm = rng.permutation(2 * n_pairs)
     return make_grid(count, 0, 1), curves[perm], labels[perm]
+
+
+def _fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports this package's source; return its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def test_knn_plan_does_not_import_scipy_spatial(tmp_path):
+    # scipy.spatial costs every process about 5 MB and 66 modules; only the
+    # exact kNN fallback needs it, and no row of this plan reaches it
+    (tmp_path / "plan.ini").write_text(
+        "[plan]\nmodels = G2 L1-B\nsizes = 30\nruns = 2\ntest_size = 100\nvalidation_size = 40\n"
+        "grid_count = 50\nmethods = kNN Centroid\nseed = 3\n"
+    )
+    code = (
+        "import sys\n"
+        "import rkfda.cli\n"
+        "from rkfda.simulate import builtin_catalog\n"
+        "builtin_catalog()\n"
+        "plan, out = sys.argv[1:]\n"
+        "assert rkfda.cli.main(['bench', '--plan', plan, '--out', out]) == 0\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
+    assert _fresh_python(code, tmp_path / "plan.ini", tmp_path / "report.csv") == "False"
+    assert len((tmp_path / "report.csv").read_text().splitlines()) == 5
+
+
+def test_knn_fallback_imports_scipy_spatial_and_decides_exactly():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from rkfda import make_grid\n"
+        "from rkfda.classify import _knn_decisions_exact, knn_decisions\n"
+        "rng = np.random.default_rng(33)\n"
+        "base = rng.normal(size=(40, 8))\n"
+        "curves, labels = np.vstack([base, base]), np.repeat([0, 1], 40)\n"
+        "query, grid, ks = rng.normal(size=(50, 8)), make_grid(8, 0, 1), [1, 3, 5]\n"
+        "before = 'scipy.spatial' in sys.modules\n"
+        "got = knn_decisions(grid, curves, labels, query, ks)\n"
+        "after = 'scipy.spatial' in sys.modules\n"
+        "want = _knn_decisions_exact(grid, curves, labels, query, ks)\n"
+        "print(before, after, np.array_equal(got, want))\n"
+    )
+    # every copy ties its twin exactly, so each query row falls back
+    assert _fresh_python(code) == "False True True"
 
 
 def test_knn_screen_sends_duplicates_straddling_k_to_the_exact_rule(fallback_rows):

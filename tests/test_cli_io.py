@@ -26,6 +26,20 @@ def test_dataset_round_trip(tmp_path):
     np.testing.assert_allclose(back.grid.points, ds.grid.points, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "count,t_min,t_max", [(1000, 100, 200), (100, 1e3, 1e3 + 1), (200, 1e4, 1e4 + 1), (100, 0, 1)]
+)
+def test_dataset_round_trip_is_exact_away_from_zero(tmp_path, count, t_min, t_max):
+    grid = make_grid(count, t_min, t_max)
+    ds = gen_model_dataset(builtin_catalog()["G2b"], 10, grid, 6)
+    path = tmp_path / "data.csv"
+    io.write_dataset(ds, path)
+    back = io.read_dataset(path)
+    np.testing.assert_array_equal(back.grid.points, grid.points)
+    np.testing.assert_array_equal(back.curves, ds.curves)
+    np.testing.assert_array_equal(back.labels, ds.labels)
+
+
 def test_read_dataset_small_literal(tmp_path):
     path = tmp_path / "two.csv"
     path.write_text("label,t_0,t_1\n0,1.5,2.5\n1,-1,0\n")

@@ -83,6 +83,20 @@ def test_greedy_rejects_small_delta():
         greedy_select(_oracle_linear(g), SelectionConfig(d_max=2, delta=0.01))
 
 
+def test_delta_counts_grid_steps_on_an_offset_grid():
+    # the times of t = 1e4 + j/199 round to as much as 3.6e-10 of a step closer
+    # than the first step, yet adjacent points stay one step apart
+    g = make_grid(200, 1e4, 1e4 + 1)
+    src = oracle_source(OrnsteinUhlenbeckKernel(), g, np.ones(g.count))
+    for i in range(g.count - 1):
+        pair = greedy_select(src, SelectionConfig(d_max=2, candidate_mask=[i, i + 1], rel_tol=0.0))
+        assert sorted(pair.indices.tolist()) == [i, i + 1]
+    # every first-step score ties, so i goes first; i + 3 is delta away, i + 2 is not
+    for i in range(g.count - 3):
+        config = SelectionConfig(d_max=3, delta=3 * g.spacing, candidate_mask=[i, i + 2, i + 3], rel_tol=0.0)
+        assert greedy_select(src, config).indices.tolist() == [i, i + 3]
+
+
 def test_greedy_candidate_mask_and_no_candidates():
     g = make_grid(10, 0, 1)
     src = _oracle_linear(g)
@@ -237,6 +251,7 @@ def test_scan_matches_loop_with_mask_delta_and_early_stop():
     ds = gen_model_dataset(builtin_catalog()["G4"], 50, standard_grid(100), (23, 0))
     for config in (
         SelectionConfig(d_max=6, delta=0.05, candidate_mask=np.arange(10, 90, 2)),
+        SelectionConfig(d_max=8, delta=3 * ds.grid.spacing, rel_tol=0.0),
         SelectionConfig(d_max=10, rel_tol=0.05),
     ):
         _assert_same_selection(ds, config)

@@ -1,9 +1,6 @@
 import hashlib
 import math
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +29,8 @@ from rkfda.simulate import (
     trend_eval,
     trend_realize,
 )
+
+from test_classify import _fresh_python
 
 
 def test_peak_trend_values():
@@ -380,11 +379,7 @@ def test_ou_simulation_does_not_import_scipy_signal():
         "gen_model_dataset(builtin_catalog()['L1-OU'], 20, standard_grid(100), 3)\n"
         "print('scipy.signal' in sys.modules)\n"
     )
-    src = str(Path(simulate.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert _fresh_python(code) == "False"
 
 
 def test_golden_digests_cover_the_catalog():
