@@ -125,8 +125,9 @@ class Grid:
         return int(np.argmin(np.abs(self.points - t)))
 
     def same_as(self, other: "Grid") -> bool:
+        """Equal counts, and every point within GRID_SPACING_RTOL of a step of ``other``'s."""
         return self.count == other.count and bool(
-            np.allclose(self.points, other.points, rtol=1e-9, atol=0.0)
+            np.max(np.abs(self.points - other.points)) <= GRID_SPACING_RTOL * self.spacing
         )
 
 
@@ -180,15 +181,31 @@ class LabeledDataset:
 
     @cached_property
     def moments(self) -> "ClassMoments":
-        """The class summary from one split by class, computed on first access and kept."""
-        x0, x1 = self.class_curves(0), self.class_curves(1)
-        n0, n1 = x0.shape[0], x1.shape[0]
+        """The class summary, computed on first access and kept.
+
+        The curves are gathered once, class 0 first, and each class's rows are
+        averaged, centred and scaled in place in that one copy.  The two
+        slices have the layout of ``class_curves(0)`` and ``class_curves(1)``,
+        so the means and ``z`` equal the two-split formulas bit for bit.
+        """
+        z, n0 = _gather_by_class(self.curves, self.labels)
+        n1 = z.shape[0] - n0
         if n0 == 0 or n1 == 0:
             raise TrainingError("both classes must be present")
+        x0, x1 = z[:n0], z[n0:]
         m0, m1 = x0.mean(axis=0), x1.mean(axis=0)
-        z = np.vstack([(x0 - m0) / np.sqrt(n0), (x1 - m1) / np.sqrt(n1)])
+        x0 -= m0
+        x0 /= np.sqrt(n0)
+        x1 -= m1
+        x1 /= np.sqrt(n1)
         z.setflags(write=False)  # handed over: ClassMoments keeps it without a copy
         return ClassMoments(grid=self.grid, m0=m0, m1=m1, diff=m1 - m0, n0=n0, n1=n1, z=z)
+
+
+def _gather_by_class(curves: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """A new array of ``curves`` with the class-0 rows first, each class in its order; and n0."""
+    order = np.argsort(labels, kind="stable")
+    return curves[order], int(labels.size - np.count_nonzero(labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +214,8 @@ class ClassMoments:
 
     ``z`` holds the class-centred curves, class 0 first: row l of class r is
     (X_rl - Xbar_r) / sqrt(n_r), so ``z.T @ z`` is the pooled covariance and
-    one of its columns costs O(n * G).
+    one of its columns costs O(n * G).  ``LabeledDataset.moments`` builds it
+    in one gathered copy of the curves, centred and scaled in place.
     """
 
     grid: Grid

@@ -234,4 +234,4 @@ def write_histogram(hist: HistogramReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,count\n")
         for t, c in zip(hist.grid.points, hist.counts):
-            fh.write(f"{format(t, '.12g')},{c}\n")
+            fh.write(f"{float(t)!r},{c}\n")

@@ -10,6 +10,10 @@ Simulation models come in two shapes: class-conditional Gaussian laws
 (possibly mixtures over process+trend components) with a Bernoulli prior,
 and logistic models where the marginal process is drawn first and the label
 follows a Bernoulli with success probability expit(psi(x(t_1), ..., x(t_k))).
+The logistic labels compute ``expit(v) = 1 / (1 + exp(-v))`` per curve with
+libm's ``exp`` (``math.exp``), the formula ``scipy.special.expit`` evaluates,
+so the labels equal scipy's bit for bit without importing ``scipy.special``;
+numpy's vectorized ``exp`` rounds differently.
 
 Every curve gets its own counter-derived RNG stream keyed by
 (entropy, class, index), so generation is reproducible bit-for-bit no matter
@@ -49,7 +53,6 @@ from importlib import resources
 from typing import Union
 
 import numpy as np
-from scipy.special import expit
 
 from .core import DatasetFormatError, Grid, LabeledDataset, make_grid
 from .kernels import BrownianBridgeKernel, BrownianKernel, OrnsteinUhlenbeckKernel
@@ -408,7 +411,11 @@ class LinkTerm:
 
 @dataclass(frozen=True)
 class LogisticModel:
-    """Marginal process plus P(Y=1 | X) = expit(sum of link terms)."""
+    """Marginal process plus P(Y=1 | X) = expit(sum of link terms).
+
+    ``expit`` is evaluated per curve with libm's ``exp``, as
+    ``scipy.special.expit`` does (:func:`_expit`).
+    """
 
     id: str
     marginal: ClassLaw
@@ -586,6 +593,22 @@ def _component_paths(comp: _Component, grid: Grid, curves, rows, end_normals, sl
             curves[r] = block
 
 
+def _expit1(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # exp(-v) above the largest double: C gives 1 / (1 + inf)
+        return 0.0
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """``scipy.special.expit(x)`` bit for bit: ``1 / (1 + exp(-v))`` with libm's ``exp``.
+
+    NaN maps to NaN and -inf to 0.  There is no fixed overflow threshold:
+    just above -709.79 the value is a nonzero subnormal.
+    """
+    return np.array([_expit1(v) for v in x.tolist()], dtype=float)
+
+
 def gen_model_dataset(model: ModelSpec, n: int, grid: Grid, seed) -> LabeledDataset:
     """Generate ``n`` labeled curves; bit-identical for equal (model, n, grid, seed).
 
@@ -639,7 +662,7 @@ def gen_model_dataset(model: ModelSpec, n: int, grid: Grid, seed) -> LabeledData
             rows = np.flatnonzero((keys == y) & (picks == c))
             _component_paths(comp, grid, curves, rows, end_normals, slopes)
     if uniforms is not None:
-        labels = (uniforms < expit(model.link_values(curves, grid))).astype(int)
+        labels = (uniforms < _expit(model.link_values(curves, grid))).astype(int)
     curves.setflags(write=False)  # the dataset keeps this buffer without a copy
     return LabeledDataset(grid=grid, curves=curves, labels=labels, fixed_prior=model.prior)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.spatial.distance
 
-from rkfda import io
+from rkfda import core, io
 from rkfda.bench import (
     DEFAULT_K_GRID,
     METHODS,
@@ -564,19 +564,24 @@ def test_rk_methods_score_the_test_set_without_refitting_or_solving(monkeypatch)
 
 def test_one_pass_over_every_method_splits_the_training_set_by_class_once(monkeypatch):
     train, val, test = _samples("G4", 50, 100, 100, seed=28)
-    names = {train: "train", val: "val", test: "test"}
-    splits = []
-    split = LabeledDataset.class_curves
+    names = {id(ds.curves): name for ds, name in ((train, "train"), (val, "val"), (test, "test"))}
+    copies = []  # every copy of a dataset's curves by class: the summary's gather, or a split
+    gather, split = core._gather_by_class, LabeledDataset.class_curves
 
-    def counted(self, label):
-        splits.append((names.get(self), label))
+    def spied_gather(curves, labels):
+        copies.append(("gather", names.get(id(curves))))
+        return gather(curves, labels)
+
+    def spied_split(self, label):
+        copies.append(("class_curves", names.get(id(self.curves))))
         return split(self, label)
 
-    monkeypatch.setattr(LabeledDataset, "class_curves", counted)
+    monkeypatch.setattr(core, "_gather_by_class", spied_gather)
+    monkeypatch.setattr(LabeledDataset, "class_curves", spied_split)
     plan = ExperimentPlan(models=("-",), sizes=(train.size,), methods=METHODS, d_max=5)
     for method in METHODS:
         _apply_method(method, train, val, test, plan)
-    assert splits == [("train", 0), ("train", 1)]
+    assert copies == [("gather", "train")]
 
 
 def _assert_centroid_matches_loop(train, val, test, r_max=20):

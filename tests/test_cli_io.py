@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rkfda import LabeledDataset, io, make_grid
-from rkfda.bench import _model_entropy
+from rkfda.bench import HistogramReport, _model_entropy
 from rkfda.classify import rkc_decisions, train_centroid, train_knn, train_rkc
 from rkfda.cli import main
 from rkfda.core import DatasetFormatError
@@ -38,6 +38,28 @@ def test_dataset_round_trip_is_exact_away_from_zero(tmp_path, count, t_min, t_ma
     np.testing.assert_array_equal(back.grid.points, grid.points)
     np.testing.assert_array_equal(back.curves, ds.curves)
     np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+def test_grids_read_back_from_files_are_the_same_grid(tmp_path):
+    grid = make_grid(200, 1e4, 1e4 + 1)
+    ds = gen_model_dataset(builtin_catalog()["G2b"], 20, grid, 6)
+    io.write_dataset(ds, tmp_path / "data.csv")
+    assert io.read_dataset(tmp_path / "data.csv").grid.same_as(grid)
+    io.write_classifier(train_centroid(ds, 2), tmp_path / "model.txt")
+    assert io.read_classifier(tmp_path / "model.txt").grid.same_as(grid)
+
+
+def test_histogram_times_match_the_dataset_header(tmp_path):
+    grid = make_grid(200, 1e4, 1e4 + 1)
+    io.write_dataset(gen_model_dataset(builtin_catalog()["G2b"], 4, grid, 6), tmp_path / "data.csv")
+    hist = HistogramReport(grid=grid, counts=np.arange(grid.count), relevant=(),
+                           matched_per_run=np.zeros(0, dtype=int), d=1, runs=0)
+    io.write_histogram(hist, tmp_path / "hist.csv")
+    header = (tmp_path / "data.csv").read_text().splitlines()[0].split(",")[1:]
+    rows = [line.split(",") for line in (tmp_path / "hist.csv").read_text().splitlines()[1:]]
+    assert ["t_" + t for t, _ in rows] == header
+    np.testing.assert_array_equal([float(t) for t, _ in rows], grid.points)
+    assert [int(c) for _, c in rows] == list(range(grid.count))
 
 
 def test_read_dataset_small_literal(tmp_path):

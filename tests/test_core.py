@@ -95,6 +95,24 @@ def test_indices_of_empty_input():
     assert got.dtype == np.dtype(int)
 
 
+@pytest.mark.parametrize("count,t_min,t_max", [(200, 1e4, 1e4 + 1), (1000, 100, 200), (100, 0, 1)])
+def test_same_as_counts_in_grid_steps(count, t_min, t_max):
+    grid = make_grid(count, t_min, t_max)
+    step = grid.spacing
+    # on [1e4, 1e4 + 1] a shift of 1e-3 of a step (5e-6) is within 1e-9 of the times themselves
+    for shift, same in ((0.0, True), (0.5e-9 * step, True), (2e-9 * step, False), (1e-3 * step, False)):
+        other = Grid(grid.points + shift)
+        assert grid.same_as(other) is same and other.same_as(grid) is same, shift
+    assert not grid.same_as(make_grid(count + 1, t_min, t_max))
+
+
+def test_same_as_accepts_twelve_digit_times_of_a_standard_grid():
+    # dataset files written before times were written in full carry 12 digits
+    for count in (30, 100, 1000):
+        grid = make_grid(count, 1.0 / count, 1.0)
+        assert grid.same_as(Grid([float(format(t, ".12g")) for t in grid.points]))
+
+
 def _dataset(labels, fixed_prior=None):
     g = make_grid(2, 0, 1)
     curves = np.zeros((len(labels), 2))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,34 @@ def test_class_summary_matches_the_per_call_formulas_bit_for_bit():
         assert centred_curves(ds) is m.z
         smallest_class.append(min(m.n0, m.n1))
     assert min(smallest_class) <= 10  # some draws are far from balanced
+
+
+@pytest.mark.parametrize("n0,n1", [(1, 1), (1, 12), (12, 1), (3, 40), (40, 3), (17, 17)])
+def test_one_copy_summary_matches_the_two_split_formula(n0, n1):
+    rng = np.random.default_rng(100 * n0 + n1)
+    labels = rng.permutation(np.repeat([0, 1], [n0, n1]))  # classes interleaved
+    curves = 3.0 * rng.normal(size=(n0 + n1, 13)) + rng.uniform(-5, 5, size=13)
+    ds = LabeledDataset(grid=make_grid(13, 0, 1), curves=curves, labels=labels)
+    m = ds.moments
+    assert (m.n0, m.n1) == (n0, n1)
+    for got, want in zip((m.m0, m.m1, m.diff, m.z), _per_call_moments(ds)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_class_summary_holds_one_copy_of_the_curves():
+    rng = np.random.default_rng(10)
+    ds = LabeledDataset(grid=make_grid(200, 0, 1), curves=rng.normal(size=(500, 200)),
+                        labels=rng.integers(0, 2, size=500))
+    tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        m = ds.moments
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the two-split formula held about three copies at its peak
+    assert m.z.nbytes <= peak < 1.5 * ds.curves.nbytes
 
 
 def test_class_summary_is_computed_once_and_read_only():
