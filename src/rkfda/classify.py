@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     Grid,
@@ -54,6 +53,7 @@ from .core import (
 # importable from this module, where perfbench/tracing.py wraps them.
 from .estimate import centred_curves, class_moments, pooled_cov  # noqa: F401
 from .kernels import KernelSpec, discretized_eigen, gram, solve_spd  # noqa: F401
+from .kernels import _solve_lower
 from .select import SelectionConfig, greedy_select, oracle_source_from_dataset
 
 __all__ = [
@@ -187,7 +187,7 @@ def train_rkc(
     scan = greedy_select(source, SelectionConfig(idx.size, candidate_mask=idx, rel_tol=0.0))
     if len(scan) < idx.size:
         raise TrainingError("covariance at the selected points is singular")
-    alphas = scipy.linalg.cho_solve((scan.factor, True), moments.diff_at(scan.indices), check_finite=False)
+    alphas = _solve_lower(scan.factor, _solve_lower(scan.factor, moments.diff_at(scan.indices)), transpose=True)
     return RKCClassifier(
         grid=dataset.grid,
         indices=scan.indices,
@@ -205,7 +205,8 @@ def rkc_decisions(dataset: LabeledDataset, selection: SelectionResult, curves) -
     with the covariance whose Cholesky factor L the selection carries (the
     pooled covariance or an analytic Gram) and the class means and prior of
     ``dataset``, as :func:`train_rkc` fits it.  With ``w = L^{-1} m`` and
-    ``U = L^{-1} (x - midpoint)`` from one triangular solve, the score at d is
+    ``U = L^{-1} (x - midpoint)`` from one forward substitution over the
+    columns ``[m, x - midpoint]``, the score at d is
     ``sum_{k<d} w_k U_k - log((1-p)/p)``, a cumulative sum over k.  The
     selection's degeneracy rule, the pivot rule of ``kernels.solve_spd``,
     keeps L invertible.
@@ -214,7 +215,7 @@ def rkc_decisions(dataset: LabeledDataset, selection: SelectionResult, curves) -
     idx = selection.indices
     centred = np.asarray(curves)[:, idx] - moments.midpoint_at(idx)
     rhs = np.column_stack([moments.diff_at(idx), centred.T])
-    solved = scipy.linalg.solve_triangular(selection.factor, rhs, lower=True, check_finite=False)
+    solved = _solve_lower(selection.factor, rhs)
     scores = np.cumsum(solved[:, :1] * solved[:, 1:], axis=0) - log_prior_odds
     return (scores > 0.0).astype(int)
 
@@ -424,7 +425,7 @@ def centroid_classifiers(dataset: LabeledDataset, orders, clip: bool = False) ->
     grid = dataset.grid
     dt = grid.spacing
     thin = z.shape[0] < z.shape[1]
-    w, vecs = scipy.linalg.eigh((z @ z.T if thin else z.T @ z) * dt, check_finite=False)
+    w, vecs = np.linalg.eigh((z @ z.T if thin else z.T @ z) * dt)
     w = np.clip(w[::-1], 0.0, None)
     vecs = vecs[:, ::-1]
     if np.linalg.norm(z) <= _EMPTY_SPECTRUM_RTOL * np.linalg.norm(dataset.curves):

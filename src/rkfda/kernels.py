@@ -13,6 +13,12 @@ the factorization fails or a pivot falls to ``DEGENERATE_RTOL`` of its
 diagonal entry, ``L_kk^2 <= DEGENERATE_RTOL * A_kk``: the Schur complement of
 point k given the points before it is rounding noise next to its variance.
 The greedy scan in :mod:`rkfda.select` skips a candidate by the same rule.
+
+The linear algebra is numpy's: ``np.linalg.cholesky``, ``np.linalg.eigh``
+and the row-by-row substitution of :func:`_solve_lower`, which suits the
+factors of at most a few dozen rows solved against here.  scipy's linear
+algebra package would cost every process about 300 modules, 20 MB and a
+quarter of a second of start-up.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .core import Grid, SingularMatrixError, _frozen_array
 
@@ -101,11 +106,32 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
 DEGENERATE_RTOL = 1e-12
 
 
+def _solve_lower(factor: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Solve ``L x = rhs``, or ``L^T x = rhs`` with ``transpose``, by substitution.
+
+    ``factor`` is a lower-triangular L with a nonzero diagonal (its upper
+    triangle is not read); ``rhs`` is a vector or a matrix of right-hand-side
+    columns.  One row of x per step: x_k = (rhs_k - L[k, :k] @ x[:k]) / L_kk.
+    """
+    x = np.array(rhs, dtype=float)
+    d = x.shape[0]
+    if transpose:
+        for k in range(d - 1, -1, -1):
+            x[k] -= factor[k + 1 :, k] @ x[k + 1 :]
+            x[k] /= factor[k, k]
+    else:
+        for k in range(d):
+            x[k] -= factor[k, :k] @ x[:k]
+            x[k] /= factor[k, k]
+    return x
+
+
 def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve matrix @ x = rhs for a symmetric positive definite matrix.
 
-    One Cholesky factorization, no ridge.  Raises SingularMatrixError when
-    the factorization fails or any pivot has
+    One Cholesky factorization L L^T (``np.linalg.cholesky``, which reads the
+    lower triangle), then :func:`_solve_lower` with L and with L^T; no ridge.
+    Raises SingularMatrixError when the factorization fails or any pivot has
     ``L_kk^2 <= DEGENERATE_RTOL * A_kk``.
     """
     a = np.asarray(matrix, dtype=float)
@@ -116,13 +142,13 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("rhs length must match matrix")
     d = a.shape[0]
     try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
         factor = None
     # "not above" rather than "at most", so that a NaN pivot counts as degenerate
-    if factor is None or not np.all(np.diag(factor[0]) ** 2 > DEGENERATE_RTOL * np.diag(a)):
+    if factor is None or not np.all(np.diag(factor) ** 2 > DEGENERATE_RTOL * np.diag(a)):
         raise SingularMatrixError(f"covariance matrix of order {d} is numerically singular")
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    return _solve_lower(factor, _solve_lower(factor, b), transpose=True)
 
 
 def mahalanobis_psi(mean_vec, gram_matrix) -> float:
@@ -168,7 +194,7 @@ def discretized_eigen(spec: KernelSpec, grid: Grid) -> EigenSystem:
     """
     dt = grid.spacing
     k = gram(spec, grid.points) * dt
-    w, v = scipy.linalg.eigh(k, check_finite=False)
+    w, v = np.linalg.eigh(k)
     order = np.argsort(w)[::-1]
     w = np.clip(w[order], 0.0, None)
     phi = v[:, order].T / np.sqrt(dt)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rkfda import (
     Grid,
@@ -41,7 +42,7 @@ from rkfda.classify import (
 )
 from rkfda.core import SelectionResult
 from rkfda.kernels import BrownianKernel, gram, solve_spd
-from rkfda.select import SelectionConfig, greedy_select
+from rkfda.select import SelectionConfig, greedy_select, oracle_source_from_dataset
 from rkfda.simulate import builtin_catalog, gen_model_dataset, standard_grid
 
 
@@ -195,6 +196,34 @@ def test_train_rkc_decides_like_rkc_decisions_on_ill_conditioned_prefixes(model_
         clf = train_rkc(train, selection.points[:d])
         np.testing.assert_array_equal(clf.indices, selection.indices[:d])
         np.testing.assert_array_equal(clf.decide(test.curves), decisions[d - 1])
+
+
+def _rkc_decisions_trsm(dataset, selection, curves):
+    """``rkc_decisions`` with scipy's triangular solve (LAPACK trsm), its oracle."""
+    moments, log_prior_odds = _rkc_moments(dataset)
+    idx = selection.indices
+    rhs = np.column_stack([moments.diff_at(idx), (np.asarray(curves)[:, idx] - moments.midpoint_at(idx)).T])
+    solved = scipy.linalg.solve_triangular(selection.factor, rhs, lower=True)
+    return (np.cumsum(solved[:, :1] * solved[:, 1:], axis=0) - log_prior_odds > 0.0).astype(int)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_rkc_decisions_match_the_scipy_triangular_solve_on_the_catalog(n):
+    # the bench's streams (plan seed 0, G = 100), with both selection sources
+    grid = standard_grid(100)
+    config = SelectionConfig(d_max=10, rel_tol=0.0)
+    for model_id, model in builtin_catalog().items():
+        entropy = _model_entropy(model_id)
+        for run in range(3):
+            train = gen_model_dataset(model, n, grid, (0, entropy, n, run, 0))
+            test = gen_model_dataset(model, 200, grid, (0, entropy, n, run, 2))
+            for source in (train, oracle_source_from_dataset(train, BrownianKernel())):
+                try:
+                    selection = greedy_select(source, config)
+                    got = rkc_decisions(train, selection, test.curves)
+                except TrainingError:
+                    continue
+                np.testing.assert_array_equal(got, _rkc_decisions_trsm(train, selection, test.curves))
 
 
 @pytest.mark.parametrize("kernel", [None, BrownianKernel()])
@@ -401,12 +430,15 @@ def _fresh_python(code, *args):
     return out.stdout.strip()
 
 
-def test_knn_plan_does_not_import_scipy_spatial(tmp_path):
-    # scipy.spatial costs every process about 5 MB and 66 modules; only the
-    # exact kNN fallback needs it, and no row of this plan reaches it
+def test_bench_plan_loads_no_scipy_module(tmp_path):
+    # rkfda's linear algebra is numpy's, and scipy.linalg would cost every
+    # process about 300 modules and 20 MB; scipy.spatial (5 MB) loads only
+    # for the exact kNN fallback, which no row of this plan reaches.  The plan
+    # runs all four methods on a Gaussian, a logistic (L1-B: expit from libm,
+    # not scipy.special), an OU (L1-OU: no scipy.signal) and a smoothed model
     (tmp_path / "plan.ini").write_text(
-        "[plan]\nmodels = G2 L1-B\nsizes = 30\nruns = 2\ntest_size = 100\nvalidation_size = 40\n"
-        "grid_count = 50\nmethods = kNN Centroid\nseed = 3\n"
+        "[plan]\nmodels = G2 L1-B L1-OU L4-sB\nsizes = 30\nruns = 2\ntest_size = 100\n"
+        "validation_size = 40\ngrid_count = 50\nmethods = RK-C RK_B-C kNN Centroid\nd_max = 3\nseed = 3\n"
     )
     code = (
         "import sys\n"
@@ -415,10 +447,10 @@ def test_knn_plan_does_not_import_scipy_spatial(tmp_path):
         "builtin_catalog()\n"
         "plan, out = sys.argv[1:]\n"
         "assert rkfda.cli.main(['bench', '--plan', plan, '--out', out]) == 0\n"
-        "print('scipy.spatial' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    assert _fresh_python(code, tmp_path / "plan.ini", tmp_path / "report.csv") == "False"
-    assert len((tmp_path / "report.csv").read_text().splitlines()) == 5
+    assert _fresh_python(code, tmp_path / "plan.ini", tmp_path / "report.csv") == "[]"
+    assert len((tmp_path / "report.csv").read_text().splitlines()) == 17
 
 
 def test_knn_fallback_imports_scipy_spatial_and_decides_exactly():
@@ -729,6 +761,36 @@ def test_centroid_matches_full_eigensolve_on_catalog():
         validation = _rows(ds, 200, 250)
         for n in (50, 200):
             _assert_matches_reference(_rows(ds, 0, n), validation)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_centroid_classifiers_match_the_scipy_eigensolve_on_the_catalog(n, monkeypatch):
+    # n = 50 < G = 100 diagonalizes the n x n Z Z^T, n = 200 the G x G Z^T Z;
+    # the oracle is the same code with scipy's eigh (LAPACK syevr, where
+    # numpy's runs syevd)
+    grid = standard_grid(100)
+    orders = range(1, 21)
+    for model_id, model in builtin_catalog().items():
+        entropy = _model_entropy(model_id)
+        for run in range(2):
+            train = gen_model_dataset(model, n, grid, (0, entropy, n, run, 0))
+            validation = gen_model_dataset(model, 200, grid, (0, entropy, n, run, 1))
+            try:
+                got = centroid_classifiers(train, orders, clip=True)
+            except TrainingError:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigh", lambda a: scipy.linalg.eigh(a, check_finite=False))
+                want = centroid_classifiers(train, orders, clip=True)
+            assert [c.order for c in got] == [c.order for c in want]
+            for a, b in zip(got, want):
+                # the largest move seen here is 3e-7 of max |psi|, and 1.6e-5
+                # over runs 0-39 of every cell of plans/full-protocol.ini
+                scale = np.abs(b.psi_curve).max()
+                np.testing.assert_allclose(a.psi_curve, b.psi_curve, rtol=0.0, atol=1e-4 * scale)
+            np.testing.assert_array_equal(
+                centroid_decisions(got, validation.curves), centroid_decisions(want, validation.curves)
+            )
 
 
 @pytest.mark.parametrize("model_id", ["G4", "L1-B"])

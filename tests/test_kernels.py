@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rkfda import (
     BrownianBridgeKernel,
@@ -13,8 +15,15 @@ from rkfda import (
     kernel_eval,
     mahalanobis_psi,
     make_grid,
+    pooled_cov,
     solve_spd,
 )
+from rkfda.bench import _model_entropy
+from rkfda.kernels import _solve_lower
+from rkfda.select import SelectionConfig, greedy_select
+from rkfda.simulate import builtin_catalog, gen_model_dataset, standard_grid
+
+EPS = np.finfo(float).eps
 
 # Knot values of the four-bump mean used across the suite, computed by hand
 # from the closed-form triangular pieces.
@@ -183,3 +192,106 @@ def test_eigenfunction_sign_convention():
     for row in eigen.eigenfunctions[:10]:
         nz = np.nonzero(np.abs(row) > 1e-12 * np.abs(row).max())[0]
         assert row[nz[0]] > 0
+
+
+# scipy.linalg is the oracle for the numpy linear algebra of rkfda.kernels.
+
+
+@functools.cache
+def _bench_selection(model_id, run):
+    """Training set of the bench's streams (plan seed 0, n = 200, G = 1000) and its greedy selection."""
+    train = gen_model_dataset(
+        builtin_catalog()[model_id], 200, standard_grid(1000), (0, _model_entropy(model_id), 200, run, 0)
+    )
+    return train, greedy_select(train, SelectionConfig(d_max=10, rel_tol=0.0))
+
+
+def _random_factor(d, seed):
+    a = np.random.default_rng(seed).normal(size=(d, d + 3))
+    return np.linalg.cholesky(a @ a.T)
+
+
+@pytest.mark.parametrize("model_id, run, d", [
+    *((None, None, d) for d in (1, 2, 5, 10, 30)),
+    # greedy-scan factors whose covariance L L^T has condition number above 1e12
+    ("L1-ssB", 5, 10),
+    ("L4-sB", 0, 10),
+])
+def test_solve_lower_matches_scipy_solve_triangular(model_id, run, d):
+    if model_id is None:
+        factor = _random_factor(d, seed=d)
+    else:
+        factor = _bench_selection(model_id, run)[1].factor
+        assert factor.shape == (d, d) and np.linalg.cond(factor) ** 2 > 1e12
+    rng = np.random.default_rng(d)
+    for rhs in (rng.normal(size=d), rng.normal(size=(d, 7))):
+        for transpose in (False, True):
+            got = _solve_lower(factor, rhs, transpose=transpose)
+            want = scipy.linalg.solve_triangular(factor, rhs, lower=True, trans=int(transpose))
+            assert got.shape == want.shape
+            # Each substitution's forward error is at most about (d eps / 2)
+            # || |L^-1| |L| |x| ||, Skeel's condition number of L times |x|
+            # (transposed for L^T); two solutions differ by at most twice that
+            inv = np.abs(scipy.linalg.solve_triangular(factor, np.eye(d), lower=True))
+            skeel = (inv.T @ np.abs(factor.T) if transpose else inv @ np.abs(factor)) @ np.abs(want)
+            assert np.max(np.abs(got - want)) <= d * EPS * np.max(skeel)
+
+
+@pytest.mark.parametrize("model_id, run", [("L1-ssB", 5), ("L4-sB", 0)])
+def test_solve_spd_matches_scipy_cho_solve(model_id, run):
+    # pooled covariances at every prefix of an ill-conditioned selection that
+    # solve_spd accepts, then random well-conditioned ones
+    train, selection = _bench_selection(model_id, run)
+    matrices = [pooled_cov(train, selection.points[:d]) for d in range(1, len(selection) + 1)]
+    rng = np.random.default_rng(run)
+    for d in (1, 2, 5, 10, 30):
+        a = rng.normal(size=(d, d + 3))
+        matrices.append(a @ a.T)
+    ill = 0
+    for k in matrices:
+        d = k.shape[0]
+        b = rng.normal(size=d)
+        try:
+            got = solve_spd(k, b)
+        except SingularMatrixError:
+            continue
+        want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(k, lower=True), b)
+        cond = np.linalg.cond(k)
+        ill += cond > 1e12
+        # a Cholesky solve is backward stable with relative backward error
+        # about (3 d + 1) eps / 2, so each solution's normwise forward error is
+        # at most about that times cond(K), and two differ by at most twice it;
+        # on the smoothed models' bench streams the largest seen was 5e-3 of
+        # this bound (L1-ssB run 0, d = 9)
+        assert np.max(np.abs(got - want)) <= (3 * d + 1) * EPS * cond * np.max(np.abs(want))
+    assert ill >= 1
+
+
+@pytest.mark.parametrize("spec, grid", [
+    (BrownianKernel(), make_grid(100, 0, 1)),
+    (BrownianKernel(), make_grid(400, 0, 1)),
+    (BrownianBridgeKernel(), make_grid(100, 0.001, 0.999)),
+    (OrnsteinUhlenbeckKernel(2.0, 0.5), make_grid(100, 0, 1)),
+])
+def test_discretized_eigen_matches_scipy_eigh(spec, grid, monkeypatch):
+    got = discretized_eigen(spec, grid)
+    # the oracle is the same code with scipy's eigh (LAPACK syevr, where
+    # numpy's runs syevd)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", lambda a: scipy.linalg.eigh(a, check_finite=False))
+        want = discretized_eigen(spec, grid)
+    lam, g = want.eigenvalues, grid.count
+    # Weyl: each eigenvalue moves by at most the backward error, a few
+    # G eps ||K||; the largest seen is 0.14 of this bound (Brownian, G = 100)
+    np.testing.assert_allclose(got.eigenvalues, lam, rtol=0, atol=g * EPS * lam[0])
+    # the ten leading ones, which `rkfda eigen` prints by default, agree far
+    # closer (2e-14 relative at most)
+    np.testing.assert_allclose(got.eigenvalues[:10], lam[:10], rtol=1e-12, atol=0)
+    # after the sign rule an eigenfunction moves by at most about that
+    # backward error over its eigenvalue's gap (Davis-Kahan); a repeated
+    # eigenvalue (the bridge's smallest) has gap 0 and no bound.  The largest
+    # seen is 0.03 of this bound (bridge, G = 100)
+    gap = np.minimum(np.abs(np.diff(lam, prepend=np.inf)), np.abs(np.diff(lam, append=-np.inf)))
+    moved = np.max(np.abs(got.eigenfunctions - want.eigenfunctions), axis=1) * math.sqrt(grid.spacing)
+    with np.errstate(divide="ignore"):
+        assert np.all(moved <= g * EPS * lam[0] / gap)
