@@ -430,6 +430,26 @@ def _fresh_python(code, *args):
     return out.stdout.strip()
 
 
+def test_knn_plan_does_not_import_scipy_spatial(tmp_path):
+    # scipy.spatial costs every process about 5 MB and 66 modules; only the
+    # exact kNN fallback needs it, and no row of this plan reaches it
+    (tmp_path / "plan.ini").write_text(
+        "[plan]\nmodels = G2 L1-B\nsizes = 30\nruns = 2\ntest_size = 100\nvalidation_size = 40\n"
+        "grid_count = 50\nmethods = kNN Centroid\nseed = 3\n"
+    )
+    code = (
+        "import sys\n"
+        "import rkfda.cli\n"
+        "from rkfda.simulate import builtin_catalog\n"
+        "builtin_catalog()\n"
+        "plan, out = sys.argv[1:]\n"
+        "assert rkfda.cli.main(['bench', '--plan', plan, '--out', out]) == 0\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
+    assert _fresh_python(code, tmp_path / "plan.ini", tmp_path / "report.csv") == "False"
+    assert len((tmp_path / "report.csv").read_text().splitlines()) == 5
+
+
 def test_bench_plan_loads_no_scipy_module(tmp_path):
     # rkfda's linear algebra is numpy's, and scipy.linalg would cost every
     # process about 300 modules and 20 MB; scipy.spatial (5 MB) loads only

@@ -395,6 +395,26 @@ def test_expit_matches_scipy_bit_for_bit():
     assert got[0] == 0.0 and 0.0 < got[1] < np.finfo(float).tiny  # overflow, then a subnormal
 
 
+def test_logistic_plan_does_not_import_scipy_special(tmp_path):
+    # scipy.special costs every process about 3.7 MB and 25 modules; the
+    # logistic labels compute expit with libm's exp instead
+    (tmp_path / "plan.ini").write_text(
+        "[plan]\nmodels = L1-B L4-sB\nsizes = 30\nruns = 2\ntest_size = 100\nvalidation_size = 40\n"
+        "grid_count = 50\nmethods = RK-C RK_B-C kNN Centroid\nd_max = 3\nseed = 3\n"
+    )
+    code = (
+        "import sys\n"
+        "import rkfda.cli\n"
+        "from rkfda.simulate import builtin_catalog\n"
+        "builtin_catalog()\n"
+        "plan, out = sys.argv[1:]\n"
+        "assert rkfda.cli.main(['bench', '--plan', plan, '--out', out]) == 0\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    assert _fresh_python(code, tmp_path / "plan.ini", tmp_path / "report.csv") == "False"
+    assert len((tmp_path / "report.csv").read_text().splitlines()) == 9
+
+
 def test_golden_digests_cover_the_catalog():
     covered = {model_id for model_id, count, _ in GOLDEN_DIGESTS if count == 100}
     assert covered == set(builtin_catalog())
