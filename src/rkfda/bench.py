@@ -11,8 +11,10 @@ reports do not depend on it.  A run at G = 100 is bound by the interpreter
 lock (the per-curve PCG64 loop, small numpy calls): on every shipped plan a
 pool of threads each running whole runs ran slower than one thread.  The
 only helper threads are those of ``classify.knn_decisions``, which spreads
-the row blocks of one large kNN call, work that releases the lock, over the
-CPUs the process may use and stops them before it returns.
+the row blocks of one large kNN call (at least two blocks per worker), work
+that releases the lock, over the CPUs the process may use and stops them
+before it returns.  The kNN calls of ``plans/full-protocol.ini`` and of
+perfbench's ``protocol`` shape are one or two blocks, and start no thread.
 
 Validation scores every candidate of a method in one pass, with no refit
 per candidate:

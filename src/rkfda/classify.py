@@ -14,14 +14,14 @@ k nearest training curves in the quadrature-scaled Euclidean metric; an
 exact distance tie at the k-th place goes to the smaller training index.
 :func:`knn_decisions` gives the votes of a whole k grid from squared
 distances ``||x||^2 + ||y||^2 - 2 x . y``, one matrix product per
-cache-sized block of query rows (the blocks spread over the CPUs the process
-may use), and a screen: a row whose k-th and (k+1)-th squared distances lie
-further apart than twice a rounding bound tau has a certain neighbour set,
-and every other row (exact and near ties) is ranked again by ``cdist`` and
-(distance, index), so the decisions, tie rule included, are those of the
-exact rule.  ``scipy.spatial`` is imported on the first such row, not with
-this module: no benchmark plan has needed it, and it costs every process
-about 5 MB and 66 modules.  Training and query curves must be finite.
+cache-sized block of query rows (a call of at least two blocks per worker
+spreads them over the CPUs the process may use), and a screen: a row whose
+k-th and (k+1)-th squared distances lie further apart than twice a rounding
+bound tau has a certain neighbour set, and every other row (exact and near
+ties) is ranked again by ``cdist`` and (distance, index), so the decisions,
+tie rule included, are those of the exact rule.  ``scipy.spatial`` is
+imported on the first such row, not with this module: no benchmark plan has
+needed it, and it costs every process about 5 MB and 66 modules.  Training and query curves must be finite.
 ``CentroidClassifier`` projects a curve onto a truncated eigenbasis contrast
 and assigns the class whose projected centroid is closer;
 :func:`centroid_decisions` decides for several truncation orders from one
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent import futures  # its thread pool loads on first use, not at import
 from dataclasses import dataclass
 from typing import Union
 
@@ -298,11 +297,14 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
     training curves, not over a block.
 
     The product and the partial sort release the interpreter lock, so a call
-    of two or more blocks deals them round-robin to ``min(blocks, cpus)``
-    workers, cpus being the CPUs this process may run on
-    (``os.sched_getaffinity``): the calling thread takes one share and a
-    thread pool made for the call takes the rest.  A one-block call runs in
-    the calling thread and starts no thread.
+    of b blocks deals them round-robin to ``min(b // 2, cpus)`` workers, cpus
+    being the CPUs this process may run on (``os.sched_getaffinity``): the
+    calling thread takes one share and a thread pool made for the call takes
+    the rest.  A call with fewer than two workers runs in the calling thread
+    and starts no thread; only a call that splits imports
+    ``concurrent.futures``.  Each worker gets at least two blocks because a
+    helper thread holds about 3 MB more peak memory, which one block's
+    share of the time (about 2 ms at n = 200) does not repay.
     """
     ks = np.asarray(ks, dtype=int)
     train_labels = np.asarray(train_labels)
@@ -348,8 +350,10 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
 
     step = max(1, _BLOCK_BYTES // (8 * n))
     blocks = [slice(start, start + step) for start in range(0, queries, step)]
-    workers = min(len(blocks), _cpus())
+    workers = min(len(blocks) // 2, _cpus())
     if workers > 1:
+        from concurrent import futures  # it and the logging it imports: 0.7 MB
+
         with futures.ThreadPoolExecutor(max_workers=workers - 1) as pool:
             helpers = [pool.submit(screen, blocks[w::workers]) for w in range(1, workers)]
             screen(blocks[::workers])

@@ -455,7 +455,9 @@ def test_bench_plan_loads_no_scipy_module(tmp_path):
     # process about 300 modules and 20 MB; scipy.spatial (5 MB) loads only
     # for the exact kNN fallback, which no row of this plan reaches.  The plan
     # runs all four methods on a Gaussian, a logistic (L1-B: expit from libm,
-    # not scipy.special), an OU (L1-OU: no scipy.signal) and a smoothed model
+    # not scipy.special), an OU (L1-OU: no scipy.signal) and a smoothed model.
+    # Its kNN calls are one block each, which runs in the calling thread, so
+    # concurrent.futures (and the logging it pulls in) stays unloaded too
     (tmp_path / "plan.ini").write_text(
         "[plan]\nmodels = G2 L1-B L1-OU L4-sB\nsizes = 30\nruns = 2\ntest_size = 100\n"
         "validation_size = 40\ngrid_count = 50\nmethods = RK-C RK_B-C kNN Centroid\nd_max = 3\nseed = 3\n"
@@ -467,7 +469,7 @@ def test_bench_plan_loads_no_scipy_module(tmp_path):
         "builtin_catalog()\n"
         "plan, out = sys.argv[1:]\n"
         "assert rkfda.cli.main(['bench', '--plan', plan, '--out', out]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))\n"
     )
     assert _fresh_python(code, tmp_path / "plan.ini", tmp_path / "report.csv") == "[]"
     assert len((tmp_path / "report.csv").read_text().splitlines()) == 17
@@ -564,8 +566,8 @@ def _block_rows(n):
     return _BLOCK_BYTES // (8 * n)
 
 
-# one block - 1, one block, one block + 1, and three blocks and a short tail
-@pytest.mark.parametrize("queries", [1, 130, 131, 132, 3 * 131 + 17])
+# one block - 1, one block, one block + 1, and four or six blocks, the last short
+@pytest.mark.parametrize("queries", [1, 130, 131, 132, 3 * 131 + 17, 5 * 131 + 17])
 def test_knn_screen_in_row_blocks_matches_the_exact_rule(queries, executors):
     grid = standard_grid(100)
     model = builtin_catalog()["G4"]
@@ -574,10 +576,11 @@ def test_knn_screen_in_row_blocks_matches_the_exact_rule(queries, executors):
     assert step == 131
     query = gen_model_dataset(model, queries, grid, (39, 1))
     _assert_screen_is_exact(grid, train.curves, train.labels, query.curves, ODD_KS)
-    # a one-block call starts no thread; b >= 2 blocks on three CPUs take the
-    # caller and a pool of min(b, 3) - 1
+    # b blocks on three CPUs go to min(b // 2, 3) workers, the caller and a
+    # pool of the rest: 1 or 2 blocks start no thread, 4 a pool of 1, 6 of 2
     blocks = -(-queries // step)
-    assert executors == ([] if blocks == 1 else [min(blocks, 3) - 1])
+    workers = min(blocks // 2, 3)
+    assert executors == ([] if workers < 2 else [workers - 1])
 
 
 @pytest.mark.parametrize("twin", ["copy", "one-ulp"])
@@ -599,7 +602,8 @@ def test_knn_screen_maps_fallback_rows_of_the_first_and_last_block(twin, fallbac
     query[0], query[-1] = curves[17], curves[911]
     _assert_screen_is_exact(grid, curves, labels, query, ODD_KS)
     np.testing.assert_array_equal(np.vstack(fallback_rows), query[[0, -1]])
-    assert executors == [2]
+    # four blocks, two workers: the caller screens the first, the pool's thread the last
+    assert executors == [1]
 
 
 def test_knn_decisions_from_concurrent_user_threads_are_exact():
