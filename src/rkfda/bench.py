@@ -344,6 +344,10 @@ class HistogramReport:
         return float(np.mean(self.matched_per_run >= min_matched))
 
 
+# A selected point recovers a relevant time within this many grid steps.
+_MATCH_STEPS = 2
+
+
 def variable_recovery_histogram(
     model: str | ModelSpec,
     n: int,
@@ -352,12 +356,11 @@ def variable_recovery_histogram(
     grid: Grid | None = None,
     seed: int = 0,
     catalog: dict | None = None,
-    match_steps: int = 2,
 ) -> HistogramReport:
     """Selection frequencies of greedy search over repeated fresh samples.
 
     A relevant time counts as matched in a run when some selected point lies
-    within ``match_steps`` grid steps of it.
+    within two grid steps (``_MATCH_STEPS``) of it.
     """
     if isinstance(model, str):
         catalog = catalog if catalog is not None else builtin_catalog()
@@ -367,7 +370,7 @@ def variable_recovery_histogram(
     ent = _model_entropy(model.id)
     counts = np.zeros(grid.count, dtype=int)
     matched = np.zeros(runs, dtype=int)
-    tol = match_steps * grid.spacing * (1.0 + GRID_SPACING_RTOL)
+    tol = _MATCH_STEPS * grid.spacing * (1.0 + GRID_SPACING_RTOL)
     config = SelectionConfig(d_max=d, rel_tol=0.0)
     with _blas_pinned():
         for run_idx in range(runs):

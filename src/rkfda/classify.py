@@ -18,14 +18,14 @@ cache-sized block of query rows (a call of at least two blocks per worker
 spreads them over the CPUs the process may use), and a screen: a row whose
 k-th and (k+1)-th squared distances lie further apart than twice a rounding
 bound tau has a certain neighbour set, and every other row (exact and near
-ties) is ranked again by ``cdist`` and (distance, index), so the decisions,
-tie rule included, are those of the exact rule.  ``scipy.spatial`` is
-imported on the first such row, not with this module: no benchmark plan has
-needed it, and it costs every process about 5 MB and 66 modules.  Training and query curves must be finite.
+ties) goes to the exact rule, one stable sort of its ``cdist`` distances.
+``scipy.spatial`` is imported on the first such row, not with this module:
+no benchmark plan has needed it, and it costs every process about 5 MB and
+66 modules.  Training and query curves must be finite.
 ``CentroidClassifier`` projects a curve onto a truncated eigenbasis contrast
 and assigns the class whose projected centroid is closer;
 :func:`centroid_decisions` decides for several truncation orders from one
-product.
+product, and a single rule decides as its one row.
 
 Score ties resolve to label 0 everywhere, which keeps decisions deterministic
 for tests; under the continuous models a tie has probability zero.
@@ -48,9 +48,9 @@ from .core import (
     _frozen_array,
     class_prior,
 )
-# pooled_cov, discretized_eigen, gram and solve_spd are unused here but stay
-# importable from this module, where perfbench/tracing.py wraps them.
-from .estimate import centred_curves, class_moments, pooled_cov  # noqa: F401
+# class_moments, pooled_cov, discretized_eigen, gram and solve_spd are unused
+# here but stay importable from this module, where perfbench/tracing.py wraps them.
+from .estimate import class_moments, pooled_cov  # noqa: F401
 from .kernels import KernelSpec, discretized_eigen, gram, solve_spd  # noqa: F401
 from .kernels import _solve_lower
 from .select import SelectionConfig, greedy_select, oracle_source_from_dataset
@@ -140,12 +140,8 @@ class CentroidClassifier:
     def __post_init__(self):
         object.__setattr__(self, "psi_curve", _frozen_array(self.psi_curve))
 
-    def project(self, curves: np.ndarray) -> np.ndarray:
-        return curves @ self.psi_curve * self.grid.spacing
-
     def decide(self, curves: np.ndarray) -> np.ndarray:
-        s = self.project(curves)
-        return ((s - self.proj1) ** 2 < (s - self.proj0) ** 2).astype(int)
+        return centroid_decisions([self], curves)[0]
 
 
 TrainedClassifier = Union[RKCClassifier, KNNClassifier, CentroidClassifier]
@@ -155,32 +151,28 @@ TrainedClassifier = Union[RKCClassifier, KNNClassifier, CentroidClassifier]
 _EMPTY_SPECTRUM_RTOL = 1e-12
 
 
-def _rkc_moments(dataset: LabeledDataset, prior: float | None = None):
+def _rkc_moments(dataset: LabeledDataset):
     """Class moments and log((1-p)/p) for the linear rule, checked for training."""
-    moments = class_moments(dataset)
+    moments = dataset.moments
     moments.require_covariance()
-    p = class_prior(dataset) if prior is None else float(prior)
+    p = class_prior(dataset)
     if not 0.0 < p < 1.0:
         raise ValueError("class prior must lie in (0, 1) for training")
     return moments, math.log((1.0 - p) / p)
 
 
-def train_rkc(
-    dataset: LabeledDataset,
-    points,
-    prior: float | None = None,
-    kernel: KernelSpec | None = None,
-) -> RKCClassifier:
+def train_rkc(dataset: LabeledDataset, points, kernel: KernelSpec | None = None) -> RKCClassifier:
     """Fit the linear rule at the given grid times.
 
-    ``prior`` overrides the dataset's prior mode.  Passing ``kernel`` swaps
-    the pooled covariance for the analytic Gram of a known covariance, the
-    oracle variant; class means are estimated from the sample either way.
+    The prior is the dataset's (``fixed_prior`` or the class-1 fraction).
+    Passing ``kernel`` swaps the pooled covariance for the analytic Gram of a
+    known covariance, the oracle variant; class means are estimated from the
+    sample either way.
     alpha = L^{-T} L^{-1} m from the factor L of the greedy scan restricted to
     the points, which keeps them in scan order; raises TrainingError when it
     keeps fewer than given (e.g. a repeated point), and adds no ridge.
     """
-    moments, log_prior_odds = _rkc_moments(dataset, prior)
+    moments, log_prior_odds = _rkc_moments(dataset)
     idx = dataset.grid.indices_of(points)
     source = dataset if kernel is None else oracle_source_from_dataset(dataset, kernel)
     scan = greedy_select(source, SelectionConfig(idx.size, candidate_mask=idx, rel_tol=0.0))
@@ -250,8 +242,8 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
     Returns an int array of shape ``(len(ks), len(curves))``; row i holds the
     vote of the ``ks[i]`` nearest training curves, label 1 when more than
     half of them are 1.  The decisions are those of the exact rule,
-    :func:`_knn_decisions_exact`, bit for bit; non-finite curves raise
-    ValueError.
+    :func:`_knn_decisions_exact`, which ranks ``cdist`` distances by one
+    stable sort, bit for bit; non-finite curves raise ValueError.
 
     On the sqrt(dt)-scaled query curves x_i and training curves y_j the
     squared distances are ``F_ij = ||x_i||^2 + ||y_j||^2 - 2 x_i . y_j``.
@@ -373,29 +365,17 @@ def _knn_decisions_exact(grid: Grid, train_curves, train_labels, curves, ks) -> 
     Same arguments and result.  Distances come from ``cdist`` on the
     sqrt(dt)-scaled curves; ``scipy.spatial`` is imported here, on the first
     call, so that a process whose kNN screen is never unsure does not load
-    it.  One partial sort keeps the ``max(ks)`` nearest curves of each row,
-    and a cumulative sum of their labels in (distance, training index) order
-    gives every vote.  Rows in which further curves tie the ``max(ks)``-th
-    distance are ranked in full, so exact ties always go to the smaller
-    training index.
+    it.  One stable sort ranks each row by (distance, training index), and a
+    cumulative sum of the labels of the ``max(ks)`` nearest gives every vote.
     """
     import scipy.spatial.distance
 
     ks = np.asarray(ks, dtype=int)
     train_labels = np.asarray(train_labels)
-    k_max = int(ks.max())
     scale = math.sqrt(grid.spacing)
     dist = scipy.spatial.distance.cdist(np.asarray(curves) * scale, np.asarray(train_curves) * scale)
-    nearest = np.argpartition(dist, k_max - 1, axis=1)[:, :k_max]
-    nearest.sort(axis=1)  # index order, so the stable sort below breaks ties by index
-    near_dist = np.take_along_axis(dist, nearest, axis=1)
-    # rows where the partition had to choose among curves tying its last distance
-    tied = np.flatnonzero(np.count_nonzero(dist <= near_dist.max(axis=1)[:, None], axis=1) > k_max)
-    if tied.size:
-        nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k_max]
-        near_dist[tied] = np.take_along_axis(dist[tied], nearest[tied], axis=1)
-    order = np.argsort(near_dist, axis=1, kind="stable")
-    cum = np.cumsum(train_labels[np.take_along_axis(nearest, order, axis=1)], axis=1)
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, : int(ks.max())]
+    cum = np.cumsum(train_labels[nearest], axis=1)
     return (cum[:, ks - 1].T * 2 > ks[:, None]).astype(int)
 
 
@@ -412,8 +392,8 @@ def centroid_classifiers(dataset: LabeledDataset, orders, clip: bool = False) ->
     """Centroid rules for several truncation orders sharing one eigensystem.
 
     The eigensystem is that of the pooled sample covariance on the full grid,
-    ``Z^T Z`` for the class-centred curves ``Z`` of
-    :func:`~rkfda.estimate.centred_curves`.  ``Z Z^T`` has the same nonzero
+    ``Z^T Z`` for the class-centred curves ``Z = dataset.moments.z``, which
+    needs two curves per class.  ``Z Z^T`` has the same nonzero
     eigenvalues, so the smaller Gram is diagonalized: with fewer curves than
     grid points (n < G) the n x n ``Z Z^T``, whose eigenvectors ``u_j`` map
     back to eigenfunctions ``Z^T u_j / sqrt(w_j)`` for the requested orders
@@ -424,8 +404,9 @@ def centroid_classifiers(dataset: LabeledDataset, orders, clip: bool = False) ->
     instead of raising.
     """
     orders = list(orders)
-    z = centred_curves(dataset)
-    moments = class_moments(dataset)
+    moments = dataset.moments
+    moments.require_covariance()
+    z = moments.z
     grid = dataset.grid
     dt = grid.spacing
     thin = z.shape[0] < z.shape[1]

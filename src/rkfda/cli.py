@@ -40,8 +40,11 @@ def _parse_kernel(text: str):
     if text == "ou":
         return OrnsteinUhlenbeckKernel()
     if text.startswith("ou:"):
-        theta, sigma2 = (float(v) for v in text[3:].split(","))
-        return OrnsteinUhlenbeckKernel(theta=theta, sigma2=sigma2)
+        try:
+            theta, sigma2 = (float(v) for v in text[3:].split(","))
+            return OrnsteinUhlenbeckKernel(theta=theta, sigma2=sigma2)
+        except ValueError as exc:
+            raise DatasetFormatError(f"bad kernel {text!r}: {exc} (use ou:theta,sigma2)") from exc
     raise DatasetFormatError(f"unknown kernel {text!r} (use brownian|bridge|ou|ou:theta,sigma2)")
 
 

@@ -9,9 +9,10 @@ i.e. twice the balanced pooled estimate.  The constant factor is kept
 deliberately: the Mahalanobis selection score's argmax and the equal-prior
 linear rule's sign are both invariant to it.
 
-The class means and centred curves are read from ``LabeledDataset.moments``,
-computed once per dataset object and kept; from Python 3.12 two threads may
-both compute it, which is harmless because the values are equal.
+The class means and centred curves are ``LabeledDataset.moments``, which
+``select`` and ``classify`` read directly, computed once per dataset object
+and kept; from Python 3.12 two threads may both compute it, which is
+harmless because the values are equal.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .core import ClassMoments, LabeledDataset, TrainingError
 
-__all__ = ["ClassMoments", "class_moments", "pooled_cov", "centred_curves"]
+__all__ = ["ClassMoments", "class_moments", "pooled_cov"]
 
 
 def class_moments(dataset: LabeledDataset) -> ClassMoments:
@@ -48,14 +49,3 @@ def pooled_cov(dataset: LabeledDataset, points=None) -> np.ndarray:
         cov += xc.T @ xc / n
     return (cov + cov.T) / 2.0
 
-
-def centred_curves(dataset: LabeledDataset) -> np.ndarray:
-    """Class-centred curves Z, scaled so that ``Z.T @ Z`` is the pooled covariance.
-
-    Row l of class r is (X_rl - Xbar_r) / sqrt(n_r), so one pooled covariance
-    column costs O(n * G) without forming the G x G matrix.  Requires at
-    least two samples per class, like :func:`pooled_cov`.
-    """
-    moments = dataset.moments
-    moments.require_covariance()
-    return moments.z

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GRID_SPACING_RTOL, Grid, LabeledDataset, SelectionResult, TrainingError
-# pooled_cov, gram and mahalanobis_psi are unused here but stay importable
-# from this module, where perfbench/tracing.py wraps them.
-from .estimate import centred_curves, class_moments, pooled_cov  # noqa: F401
+# class_moments, pooled_cov, gram and mahalanobis_psi are unused here but stay
+# importable from this module, where perfbench/tracing.py wraps them.
+from .estimate import class_moments, pooled_cov  # noqa: F401
 from .kernels import DEGENERATE_RTOL, KernelSpec, gram, mahalanobis_psi  # noqa: F401
 
 __all__ = [
@@ -107,7 +107,7 @@ def oracle_source(kernel: KernelSpec, grid: Grid, mean_diff) -> OracleSource:
 
 def oracle_source_from_dataset(dataset: LabeledDataset, kernel: KernelSpec) -> OracleSource:
     """Analytic covariance with the mean difference estimated from the sample."""
-    return oracle_source(kernel, dataset.grid, class_moments(dataset).diff)
+    return oracle_source(kernel, dataset.grid, dataset.moments.diff)
 
 
 def _kernel_diag(kernel: KernelSpec, points: np.ndarray, block: int = 64) -> np.ndarray:
@@ -132,10 +132,12 @@ def _scan_inputs(source):
             lambda j: kernel.pairwise(pts, pts[j : j + 1])[:, 0],
         )
     if isinstance(source, LabeledDataset):
-        z = centred_curves(source)
+        moments = source.moments
+        moments.require_covariance()
+        z = moments.z
         return (
             source.grid,
-            class_moments(source).diff,
+            moments.diff,
             np.einsum("ij,ij->j", z, z),
             lambda j: z.T @ z[:, j],
         )

@@ -164,12 +164,6 @@ class HillsideTrend:
 class SumTrend:
     terms: tuple
 
-    def values(self, t):
-        total = np.zeros_like(np.asarray(t, dtype=float))
-        for term in self.terms:
-            total = total + term.values(t)
-        return total
-
 
 TrendSpec = Union[ZeroTrend, LinearTrend, RandomSlopeTrend, PeakTrend, HillsideTrend, SumTrend]
 
@@ -179,7 +173,7 @@ def trend_eval(spec: TrendSpec, t) -> np.ndarray | float:
     if _random_terms(spec):
         raise ValueError("random-slope trends require trend_realize with an rng")
     tt = np.asarray(t, dtype=float)
-    out = spec.values(tt)
+    out = _trend_values(spec, tt, None)  # no random term, so no slope is asked for
     return float(out) if tt.ndim == 0 else out
 
 
@@ -809,8 +803,30 @@ def _parse_link(text: str, reference_count: int) -> tuple:
     return tuple(terms)
 
 
+def _prior(text: str) -> float:
+    p = eval_fraction(text)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"prior {p!r} must lie in (0, 1)")
+    return p
+
+
+def _catalog_value(section, key: str, parse, default: str | None = None):
+    """``parse`` of one key of a model's section; a DatasetFormatError names both if it fails."""
+    text = section.get(key, default)
+    if text is None:
+        raise DatasetFormatError(f"model {section.name!r} has no {key!r} key")
+    try:
+        return parse(text)
+    except (DatasetFormatError, ValueError, ArithmeticError) as exc:
+        raise DatasetFormatError(f"model {section.name!r}, key {key!r}: {exc}") from exc
+
+
 def parse_catalog(text: str) -> dict[str, ModelSpec]:
-    """Parse the plain-text model catalog into model specs keyed by id."""
+    """Parse the plain-text model catalog into model specs keyed by id.
+
+    A missing or malformed key (a weight of 1/0, a prior outside (0, 1))
+    raises DatasetFormatError naming the model and the key.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str
     try:
@@ -821,22 +837,21 @@ def parse_catalog(text: str) -> dict[str, ModelSpec]:
     for model_id in parser.sections():
         section = parser[model_id]
         kind = section.get("type", "gaussian").strip().lower()
-        prior = eval_fraction(section.get("prior", "0.5"))
+        prior = _catalog_value(section, "prior", _prior, "0.5")
         if kind in ("gaussian", "mixture"):
-            relevant = tuple(float(v) for v in section.get("relevant", "").split())
             models[model_id] = GaussianModel(
                 id=model_id,
-                class0=_parse_class_law(section["class0"]),
-                class1=_parse_class_law(section["class1"]),
+                class0=_catalog_value(section, "class0", _parse_class_law),
+                class1=_catalog_value(section, "class1", _parse_class_law),
                 prior=prior,
-                relevant=relevant,
+                relevant=_catalog_value(section, "relevant", lambda v: tuple(map(float, v.split())), ""),
             )
         elif kind == "logistic":
-            ref = int(section.get("reference_count", "100"))
+            ref = _catalog_value(section, "reference_count", int, "100")
             models[model_id] = LogisticModel(
                 id=model_id,
-                marginal=_parse_class_law(section["process"]),
-                terms=_parse_link(section["link"], ref),
+                marginal=_catalog_value(section, "process", _parse_class_law),
+                terms=_catalog_value(section, "link", lambda v: _parse_link(v, ref)),
                 prior=prior,
                 reference_count=ref,
             )

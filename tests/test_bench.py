@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import importlib
+import importlib.util
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -633,3 +635,16 @@ def test_validation_ties_go_to_the_smallest_d_and_order():
     assert np.all(_accuracies(centroid_decisions(built, val.curves), val.labels) == 1.0)
     for method in ("RK-C", "RK_B-C", "Centroid"):
         assert _apply_method(method, train, val, test, plan) == (1.0, 1.0)
+
+
+def test_every_name_the_benchmark_traces_resolves(monkeypatch):
+    # perfbench's traced run replaces each (module, attribute) of TARGETS by
+    # name, so deleting or renaming one would break `perfbench/run.py --trace 1`
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module_name, attr, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (module_name, attr)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -65,13 +66,13 @@ def _separable(rng, n=20, spread=0.2):
     return _dataset(x0, x1, grid=g, fixed_prior=0.5), g
 
 
-def _refit_rkc(dataset, points, prior=None, kernel=None):
+def _refit_rkc(dataset, points, kernel=None):
     """The linear rule as fitted before the greedy scan's factor served it.
 
     A second covariance at the points, the pooled estimate or the analytic
     Gram, factored again by ``solve_spd``; the points keep the given order.
     """
-    moments, log_prior_odds = _rkc_moments(dataset, prior)
+    moments, log_prior_odds = _rkc_moments(dataset)
     idx = dataset.grid.indices_of(points)
     at = dataset.grid.points[idx]
     cov = pooled_cov(dataset, at) if kernel is None else gram(kernel, at)
@@ -631,6 +632,74 @@ def test_knn_decisions_from_concurrent_user_threads_are_exact():
         np.testing.assert_array_equal(decided, _knn_decisions_exact(grid, train.curves, train.labels, query, ODD_KS))
 
 
+# The exact rule as it stood before one stable sort replaced its partial
+# sort and tie re-rank, kept as the oracle of that replacement.
+def _knn_decisions_partitioned(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndarray:
+    """The kNN rule that :func:`knn_decisions` reproduces, from exact ranks.
+
+    Same arguments and result.  Distances come from ``cdist`` on the
+    sqrt(dt)-scaled curves; ``scipy.spatial`` is imported here, on the first
+    call, so that a process whose kNN screen is never unsure does not load
+    it.  One partial sort keeps the ``max(ks)`` nearest curves of each row,
+    and a cumulative sum of their labels in (distance, training index) order
+    gives every vote.  Rows in which further curves tie the ``max(ks)``-th
+    distance are ranked in full, so exact ties always go to the smaller
+    training index.
+    """
+    import scipy.spatial.distance
+
+    ks = np.asarray(ks, dtype=int)
+    train_labels = np.asarray(train_labels)
+    k_max = int(ks.max())
+    scale = math.sqrt(grid.spacing)
+    dist = scipy.spatial.distance.cdist(np.asarray(curves) * scale, np.asarray(train_curves) * scale)
+    nearest = np.argpartition(dist, k_max - 1, axis=1)[:, :k_max]
+    nearest.sort(axis=1)  # index order, so the stable sort below breaks ties by index
+    near_dist = np.take_along_axis(dist, nearest, axis=1)
+    # rows where the partition had to choose among curves tying its last distance
+    tied = np.flatnonzero(np.count_nonzero(dist <= near_dist.max(axis=1)[:, None], axis=1) > k_max)
+    if tied.size:
+        nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k_max]
+        near_dist[tied] = np.take_along_axis(dist[tied], nearest[tied], axis=1)
+    order = np.argsort(near_dist, axis=1, kind="stable")
+    cum = np.cumsum(train_labels[np.take_along_axis(nearest, order, axis=1)], axis=1)
+    return (cum[:, ks - 1].T * 2 > ks[:, None]).astype(int)
+
+
+def _tie_cases():
+    """Training and query sets full of exact and near distance ties."""
+    rng = np.random.default_rng(42)
+    for name, twin in (("copy", lambda base: base.copy()), ("one-ulp", lambda base: np.nextafter(base, np.inf))):
+        grid, curves, labels = _pairs(rng, twin)
+        query = np.vstack([curves[:20], rng.normal(size=(100, grid.count))])
+        yield name, grid, curves, labels, query
+    grid = make_grid(3, 0, 1)
+    curves = rng.integers(-2, 3, size=(300, 3)).astype(float)  # 125 distinct curves
+    yield "integers", grid, curves, rng.integers(0, 2, size=300), rng.integers(-3, 4, size=(200, 3)).astype(float)
+    for scale in (1e-160, 1e160):
+        grid, curves, labels = _pairs(rng, lambda base: base.copy())
+        yield f"scale-{scale:g}", grid, curves * scale, labels, rng.normal(size=(100, grid.count)) * scale
+
+
+@pytest.mark.parametrize("case", list(_tie_cases()), ids=lambda case: case[0])
+def test_knn_exact_rule_matches_the_partitioned_rule_on_ties(case):
+    _, grid, curves, labels, query = case
+    for ks in (ODD_KS, list(range(1, len(curves) + 1)), [len(curves)]):
+        np.testing.assert_array_equal(
+            _knn_decisions_exact(grid, curves, labels, query, ks),
+            _knn_decisions_partitioned(grid, curves, labels, query, ks),
+        )
+
+
+def test_knn_exact_rule_matches_the_partitioned_rule_on_the_catalog():
+    grid = standard_grid(100)
+    for model_id, model in sorted(builtin_catalog().items()):
+        train = gen_model_dataset(model, 200, grid, (43, 0))
+        query = gen_model_dataset(model, 100, grid, (43, 1))
+        args = (grid, train.curves, train.labels, query.curves, ODD_KS)
+        np.testing.assert_array_equal(_knn_decisions_exact(*args), _knn_decisions_partitioned(*args), err_msg=model_id)
+
+
 def test_knn_screen_on_a_single_query_row():
     grid = standard_grid(100)
     model = builtin_catalog()["G4"]
@@ -693,7 +762,7 @@ def test_centroid_r1_reduces_to_projection_sign():
     moments = class_moments(ds)
     mid = (clf.proj0 + clf.proj1) / 2.0
     probes = rng.normal(size=(30, 1)) * base + rng.uniform(0, 2) * base
-    s = clf.project(probes)
+    s = probes @ clf.psi_curve * g.spacing
     expected = (np.abs(s - clf.proj1) < np.abs(s - clf.proj0)).astype(int)
     np.testing.assert_array_equal(classify_batch(clf, probes), expected)
     assert classify(clf, moments.m0) == 0

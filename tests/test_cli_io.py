@@ -98,10 +98,10 @@ def test_classifier_files_round_trip(tmp_path):
     grid = make_grid(6, 0, 1)
     rng = np.random.default_rng(0)
     curves = np.vstack([rng.normal(size=(10, 6)), rng.normal(size=(10, 6)) + grid.points])
-    ds = LabeledDataset(grid=grid, curves=curves, labels=np.array([0] * 10 + [1] * 10))
+    ds = LabeledDataset(grid=grid, curves=curves, labels=np.array([0] * 10 + [1] * 10), fixed_prior=0.5)
     probes = rng.normal(size=(20, 6))
     for clf in (
-        train_rkc(ds, grid.points[[2, 4]], prior=0.5),
+        train_rkc(ds, grid.points[[2, 4]]),
         train_knn(ds, 3),
         train_centroid(ds, 2),
     ):
@@ -344,6 +344,37 @@ def test_cli_dataset_parse_failure(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("label,t_0,t_1\n0,1,2\n0,1\n")
     assert main(["select", "--data", str(bad), "--d-max", "1"]) == 3
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "error_code=parse-error"
+
+
+@pytest.mark.parametrize(
+    "catalog, key",
+    [
+        ("[X]\nclass0 = B\n", "class1"),
+        ("[X]\ntype = logistic\nlink = X1\n", "process"),
+        ("[X]\nclass0 = 1/0: B | 1/2: B + t\nclass1 = B\n", "class0"),
+        ("[X]\nclass0 = B\nclass1 = B + t\nprior = 1/0\n", "prior"),
+        ("[X]\nclass0 = B\nclass1 = B + t\nprior = 1.5\n", "prior"),
+        ("[X]\ntype = logistic\nprocess = B\nlink = X1\nreference_count = abc\n", "reference_count"),
+        ("[X]\nclass0 = B\nclass1 = B + Phi(2000, 1)\n", "class1"),
+        ("[X]\nclass0 = B\nclass1 = B + t\nrelevant = a\n", "relevant"),
+    ],
+    ids=["no-class1", "no-process", "weight-1/0", "prior-1/0", "prior-1.5", "reference-abc", "level-overflow", "relevant-abc"],
+)
+def test_cli_simulate_with_a_malformed_catalog_is_a_parse_error(tmp_path, capsys, catalog, key):
+    path = tmp_path / "bad.catalog"
+    path.write_text(catalog)
+    argv = ["simulate", "--catalog", str(path), "--model", "X", "--n", "4", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out.strip().splitlines()[-1] == "error_code=parse-error"
+    assert "'X'" in out.err and f"'{key}'" in out.err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("kernel", ["ou:1", "ou:a,b", "ou:1,2,3", "ou:-1,1", "matern"])
+def test_cli_malformed_kernel_is_a_parse_error(kernel, capsys):
+    assert main(["eigen", "--kernel", kernel, "--grid-count", "5"]) == 3
     assert capsys.readouterr().out.strip().splitlines()[-1] == "error_code=parse-error"
 
 

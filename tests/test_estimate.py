@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rkfda import LabeledDataset, TrainingError, class_moments, make_grid, pooled_cov
-from rkfda.estimate import centred_curves
 from rkfda.kernels import BrownianKernel
 from rkfda.simulate import builtin_catalog, gen_model_dataset, gen_process, standard_grid
 
@@ -144,18 +143,18 @@ def test_gen_process_matches_pooled_estimate_in_the_limit():
 def test_centred_curves_factor_the_pooled_covariance():
     rng = np.random.default_rng(8)
     ds = _dataset(rng.normal(size=(5, 7)), rng.normal(size=(9, 7)) + 1.0)
-    z = centred_curves(ds)
+    z = ds.moments.z
     assert z.shape == (14, 7)
     np.testing.assert_allclose(z.T @ z, pooled_cov(ds), rtol=1e-12, atol=1e-14)
     with pytest.raises(ValueError):
-        centred_curves(_dataset([[0.0, 0.0]], [[1.0, 1.0], [2.0, 2.0]]))
+        _dataset([[0.0, 0.0]], [[1.0, 1.0], [2.0, 2.0]]).moments.require_covariance()
 
 
 # The class summary is computed once per dataset and kept.
 
 
 def _per_call_moments(ds):
-    """m0, m1, diff and Z as class_moments and centred_curves computed them on every call."""
+    """m0, m1, diff and Z computed from two class splits, with no cached summary."""
     x0, x1 = ds.class_curves(0), ds.class_curves(1)
     m0, m1 = x0.mean(axis=0), x1.mean(axis=0)
     blocks = [
@@ -173,7 +172,7 @@ def test_class_summary_matches_the_per_call_formulas_bit_for_bit():
         for got, want in zip((m.m0, m.m1, m.diff, m.z), _per_call_moments(ds)):
             np.testing.assert_array_equal(got, want)
         assert (m.n0, m.n1) == (len(ds.class_curves(0)), len(ds.class_curves(1)))
-        assert centred_curves(ds) is m.z
+        assert ds.moments is m
         smallest_class.append(min(m.n0, m.n1))
     assert min(smallest_class) <= 10  # some draws are far from balanced
 
@@ -224,7 +223,7 @@ def test_a_one_class_dataset_has_no_summary_on_any_access():
         with pytest.raises(TrainingError, match="both classes must be present"):
             class_moments(ds)
     with pytest.raises(TrainingError):
-        centred_curves(ds)
+        ds.moments
 
 
 def test_one_class_0_curve_gives_moments_but_no_centred_curves():
@@ -233,4 +232,4 @@ def test_one_class_0_curve_gives_moments_but_no_centred_curves():
     assert (m.n0, m.n1) == (1, 2)
     np.testing.assert_array_equal(m.diff, [1.5, 1.0])
     with pytest.raises(TrainingError, match="class 0 needs at least 2 samples"):
-        centred_curves(ds)
+        m.require_covariance()
