@@ -247,7 +247,7 @@ def _knn_accuracies(train, val, ks) -> np.ndarray:
 def _apply_method(method: str, train, val, test, plan: ExperimentPlan):
     # np.argmax takes the first maximum, so validation ties go to the first candidate
     if method in ("RK-C", "RK_B-C"):
-        config = SelectionConfig(d_max=plan.d_max, rel_tol=0.0)
+        config = SelectionConfig(d_max=plan.d_max)
         kernel = BrownianKernel() if method == "RK_B-C" else None
         if kernel is None:
             selection = greedy_select(train, config)
@@ -371,7 +371,7 @@ def variable_recovery_histogram(
     counts = np.zeros(grid.count, dtype=int)
     matched = np.zeros(runs, dtype=int)
     tol = _MATCH_STEPS * grid.spacing * (1.0 + GRID_SPACING_RTOL)
-    config = SelectionConfig(d_max=d, rel_tol=0.0)
+    config = SelectionConfig(d_max=d)
     with _blas_pinned():
         for run_idx in range(runs):
             train = gen_model_dataset(model, n, grid, (seed, ent, n, run_idx, 0))

@@ -18,10 +18,9 @@ cache-sized block of query rows (a call of at least two blocks per worker
 spreads them over the CPUs the process may use), and a screen: a row whose
 k-th and (k+1)-th squared distances lie further apart than twice a rounding
 bound tau has a certain neighbour set, and every other row (exact and near
-ties) goes to the exact rule, one stable sort of its ``cdist`` distances.
-``scipy.spatial`` is imported on the first such row, not with this module:
-no benchmark plan has needed it, and it costs every process about 5 MB and
-66 modules.  Training and query curves must be finite.
+ties) goes to the exact rule, one stable sort of its distances summed in
+grid order, bit for bit those of ``scipy.spatial.distance.cdist`` (the
+tests' oracle), without scipy.  Training and query curves must be finite.
 ``CentroidClassifier`` projects a curve onto a truncated eigenbasis contrast
 and assigns the class whose projected centroid is closer;
 :func:`centroid_decisions` decides for several truncation orders from one
@@ -156,8 +155,6 @@ def _rkc_moments(dataset: LabeledDataset):
     moments = dataset.moments
     moments.require_covariance()
     p = class_prior(dataset)
-    if not 0.0 < p < 1.0:
-        raise ValueError("class prior must lie in (0, 1) for training")
     return moments, math.log((1.0 - p) / p)
 
 
@@ -175,7 +172,7 @@ def train_rkc(dataset: LabeledDataset, points, kernel: KernelSpec | None = None)
     moments, log_prior_odds = _rkc_moments(dataset)
     idx = dataset.grid.indices_of(points)
     source = dataset if kernel is None else oracle_source_from_dataset(dataset, kernel)
-    scan = greedy_select(source, SelectionConfig(idx.size, candidate_mask=idx, rel_tol=0.0))
+    scan = greedy_select(source, SelectionConfig(idx.size, candidate_mask=idx))
     if len(scan) < idx.size:
         raise TrainingError("covariance at the selected points is singular")
     alphas = _solve_lower(scan.factor, _solve_lower(scan.factor, moments.diff_at(scan.indices)), transpose=True)
@@ -242,7 +239,7 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
     Returns an int array of shape ``(len(ks), len(curves))``; row i holds the
     vote of the ``ks[i]`` nearest training curves, label 1 when more than
     half of them are 1.  The decisions are those of the exact rule,
-    :func:`_knn_decisions_exact`, which ranks ``cdist`` distances by one
+    :func:`_knn_decisions_exact`, which ranks exact distances by one
     stable sort, bit for bit; non-finite curves raise ValueError.
 
     On the sqrt(dt)-scaled query curves x_i and training curves y_j the
@@ -362,18 +359,24 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
 def _knn_decisions_exact(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndarray:
     """The kNN rule that :func:`knn_decisions` reproduces, from exact ranks.
 
-    Same arguments and result.  Distances come from ``cdist`` on the
-    sqrt(dt)-scaled curves; ``scipy.spatial`` is imported here, on the first
-    call, so that a process whose kNN screen is never unsure does not load
-    it.  One stable sort ranks each row by (distance, training index), and a
-    cumulative sum of the labels of the ``max(ks)`` nearest gives every vote.
+    Same arguments and result.  The distances of the sqrt(dt)-scaled curves
+    add the squared differences at grid points 0, 1, ..., G - 1 in that
+    order, the order in which ``cdist`` sums, so they equal its distances
+    bit for bit (an overflow gives inf, as there); a pairwise ``sum`` or
+    ``einsum`` rounds differently.  One stable sort ranks each row by
+    (distance, training index), and a cumulative sum of the labels of the
+    ``max(ks)`` nearest gives every vote.
     """
-    import scipy.spatial.distance
-
     ks = np.asarray(ks, dtype=int)
     train_labels = np.asarray(train_labels)
     scale = math.sqrt(grid.spacing)
-    dist = scipy.spatial.distance.cdist(np.asarray(curves) * scale, np.asarray(train_curves) * scale)
+    x = np.asarray(curves) * scale
+    y = np.asarray(train_curves) * scale
+    dist = np.zeros((x.shape[0], y.shape[0]))
+    with np.errstate(over="ignore"):
+        for g in range(x.shape[1]):
+            dist += (x[:, g, None] - y[:, g]) ** 2
+    np.sqrt(dist, out=dist)
     nearest = np.argsort(dist, axis=1, kind="stable")[:, : int(ks.max())]
     cum = np.cumsum(train_labels[nearest], axis=1)
     return (cum[:, ks - 1].T * 2 > ks[:, None]).astype(int)

@@ -80,15 +80,8 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _prior_arg(text: str | None):
-    if text is None or text == "estimated":
-        return None
-    return float(text)
-
-
 def _cmd_train(args) -> int:
-    prior = _prior_arg(args.prior)
-    dataset = io.read_dataset(args.data, fixed_prior=prior)
+    dataset = io.read_dataset(args.data, fixed_prior=args.prior)
     if args.method == "rkc":
         kernel = _parse_kernel(args.kernel) if args.kernel else None
         if args.points:
@@ -168,6 +161,37 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _int_from(low: int):
+    """An argparse type: an integer at least ``low``, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _probability(text: str) -> float:
+    """An argparse type: a probability strictly inside (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
+
+
+def _prior(text: str) -> float | None:
+    """``--prior``: a probability in (0, 1), or 'estimated' for the class-1 fraction."""
+    return None if text == "estimated" else _probability(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse, with the ``error_code`` line that ends every failure."""
 
@@ -184,16 +208,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a dataset from a catalog model")
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid-count", type=int, default=100)
+    p.add_argument("--n", type=_int_from(1), required=True)
+    p.add_argument("--seed", type=_int_from(0), default=0)
+    p.add_argument("--grid-count", type=_int_from(2), default=100)
     p.add_argument("--catalog")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("select", help="greedy variable selection on a dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--d-max", type=int, required=True)
+    p.add_argument("--d-max", type=_int_from(1), required=True)
     p.add_argument("--delta", type=float)
     p.add_argument("--kernel", help="use an analytic covariance instead of the pooled estimate")
     p.set_defaults(func=_cmd_select)
@@ -202,12 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--method", choices=("rkc", "knn", "centroid"), required=True)
     p.add_argument("--points", help="comma-separated grid times for rkc")
-    p.add_argument("--d-max", type=int, help="run greedy selection first (rkc)")
+    p.add_argument("--d-max", type=_int_from(1), help="run greedy selection first (rkc)")
     p.add_argument("--delta", type=float)
     p.add_argument("--kernel", help="analytic covariance for oracle rkc")
-    p.add_argument("--k", type=int, default=5, help="neighbours for knn")
-    p.add_argument("--r", type=int, default=1, help="truncation order for centroid")
-    p.add_argument("--prior", help="fixed class-1 prior in (0,1), or 'estimated'")
+    p.add_argument("--k", type=_int_from(1), default=5, help="neighbours for knn")
+    p.add_argument("--r", type=_int_from(1), default=1, help="truncation order for centroid")
+    p.add_argument("--prior", type=_prior, help="fixed class-1 prior in (0,1), or 'estimated'")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -222,12 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel")
     p.add_argument("--points")
     p.add_argument("--alphas")
-    p.add_argument("--p", type=float, default=0.5)
+    p.add_argument("--p", type=_probability, default=0.5)
     p.set_defaults(func=_cmd_bayes)
 
     p = sub.add_parser("eigen", help="discretized covariance eigensystem")
     p.add_argument("--kernel", required=True)
-    p.add_argument("--grid-count", type=int, default=100)
+    p.add_argument("--grid-count", type=_int_from(2), default=100)
     p.add_argument("--t-min", type=float, default=0.0)
     p.add_argument("--t-max", type=float, default=1.0)
     p.add_argument("--max-order", type=int, default=10)
@@ -238,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--catalog")
     p.add_argument("--hist-model", help="also write a selection histogram for this model")
-    p.add_argument("--hist-n", type=int, default=1000)
+    p.add_argument("--hist-n", type=_int_from(1), default=1000)
     p.add_argument("--hist-runs", type=int, default=100)
-    p.add_argument("--hist-d", type=int, default=5)
+    p.add_argument("--hist-d", type=_int_from(1), default=5)
     p.add_argument("--hist-out", default="histogram.csv")
     p.set_defaults(func=_cmd_bench)
     return parser

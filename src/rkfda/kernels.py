@@ -16,9 +16,10 @@ The greedy scan in :mod:`rkfda.select` skips a candidate by the same rule.
 
 The linear algebra is numpy's: ``np.linalg.cholesky``, ``np.linalg.eigh``
 and the row-by-row substitution of :func:`_solve_lower`, which suits the
-factors of at most a few dozen rows solved against here.  scipy's linear
-algebra package would cost every process about 300 modules, 20 MB and a
-quarter of a second of start-up.
+factors of at most a few dozen rows solved against here.  rkfda depends on
+numpy alone: scipy's linear algebra package, the tests' oracle for these
+routines, would cost every process about 300 modules, 20 MB and a quarter
+of a second of start-up.
 """
 
 from __future__ import annotations

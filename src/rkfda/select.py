@@ -63,8 +63,7 @@ class SelectionConfig:
     a few 1e-10 of a step apart, adjacent points still count as one step
     apart.  ``candidate_mask`` restricts the search to a subset of grid
     indices (useful to exclude degenerate endpoints).  The search stops at
-    ``d_max`` points or when the best candidate improves the score by less
-    than ``rel_tol`` relative to its current level.  Candidates with
+    ``d_max`` points or when no candidate is admissible.  Candidates with
     degenerate variance given the chosen points (Schur complement at most
     ``DEGENERATE_RTOL`` times their own variance) are never selected.
     """
@@ -72,7 +71,6 @@ class SelectionConfig:
     d_max: int
     delta: float | None = None
     candidate_mask: np.ndarray | None = None
-    rel_tol: float = 1e-10
 
     def __post_init__(self):
         if self.d_max < 1:
@@ -184,8 +182,6 @@ def greedy_select(source, config: SelectionConfig) -> SelectionResult:
                 break
             gain = np.where(admissible, resid * resid / schur, -np.inf)
             j = int(np.argmax(gain))
-            if step > 0 and gain[j] < config.rel_tol * max(psi, 1.0):
-                break
             pivot = np.sqrt(schur[j])
             v = rows[step]
             v[:] = column(j)

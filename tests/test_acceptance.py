@@ -140,10 +140,10 @@ def test_criterion_06_property_suite():
     curves[40:] += 2 * g.points
     labels = np.array([0] * 40 + [1] * 40)
     base_ds = LabeledDataset(grid=g, curves=curves, labels=labels)
-    base_sel = greedy_select(base_ds, SelectionConfig(d_max=5, rel_tol=0.0))
+    base_sel = greedy_select(base_ds, SelectionConfig(d_max=5))
     for variant in (3.0 * curves, curves + (np.cos(g.points) + 5.0)):
         ds = LabeledDataset(grid=g, curves=variant, labels=labels)
-        sel = greedy_select(ds, SelectionConfig(d_max=5, rel_tol=0.0))
+        sel = greedy_select(ds, SelectionConfig(d_max=5))
         np.testing.assert_array_equal(sel.indices, base_sel.indices)
     idx = [3, 10, 17]
     psi = mahalanobis_psi(class_moments(base_ds).diff[idx], pooled_cov(base_ds)[np.ix_(idx, idx)])

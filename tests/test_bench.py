@@ -28,7 +28,6 @@ from rkfda.classify import (
     _BLOCK_BYTES,
     KNNClassifier,
     centroid_classifiers,
-    _knn_decisions_exact,
     centroid_decisions,
     error_rate,
     knn_decisions,
@@ -48,7 +47,7 @@ from rkfda.simulate import (
     gen_model_dataset,
     standard_grid,
 )
-from test_classify import _refit_rkc
+from test_classify import _knn_decisions_cdist, _refit_rkc
 
 
 def _gauss_model(model_id, slope1, relevant=()):
@@ -279,7 +278,7 @@ def test_knn_decisions_do_not_depend_on_blas_threads(blas_at_two_threads, monkey
     with _blas_pinned():
         pinned = knn_decisions(*args)
     np.testing.assert_array_equal(threaded, pinned)
-    np.testing.assert_array_equal(threaded, _knn_decisions_exact(*args))
+    np.testing.assert_array_equal(threaded, _knn_decisions_cdist(*args))
 
 
 def test_finder_finds_numpys_bundled_openblas():
@@ -531,7 +530,7 @@ def test_knn_validation_matches_the_per_k_loop_on_odd_grids(k_grid):
 def _assert_rk_matches_loop(train, val, test, method, d_max=10):
     kernel = BrownianKernel() if method == "RK_B-C" else None
     source = train if kernel is None else oracle_source_from_dataset(train, kernel)
-    selection = greedy_select(source, SelectionConfig(d_max=d_max, rel_tol=0.0))
+    selection = greedy_select(source, SelectionConfig(d_max=d_max))
 
     def fit(d):
         return _refit_rkc(train, selection.points[:d], kernel=kernel)
@@ -627,7 +626,7 @@ def test_validation_ties_go_to_the_smallest_d_and_order():
         for stream, size in enumerate((30, 100, 100))
     )
     plan = ExperimentPlan(models=("SEP",), sizes=(30,), d_max=6, centroid_r_max=6)
-    selection = greedy_select(train, SelectionConfig(d_max=6, rel_tol=0.0))
+    selection = greedy_select(train, SelectionConfig(d_max=6))
     assert len(selection) == 6
     assert np.all(_accuracies(rkc_decisions(train, selection, val.curves), val.labels) == 1.0)
     built = centroid_classifiers(train, range(1, 7), clip=True)

@@ -1,5 +1,7 @@
+import ast
 import concurrent.futures
 import importlib
+import json
 import math
 import os
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.spatial.distance
 
 from rkfda import (
     Grid,
@@ -142,7 +145,7 @@ def test_rkc_decisions_score_every_prefix_like_train_rkc(fixed_prior):
     x0 = np.cumsum(rng.normal(size=(15, 8)), axis=1)
     x1 = np.cumsum(rng.normal(size=(25, 8)), axis=1) + 2.0 * g.points
     ds = _dataset(x0, x1, grid=g, fixed_prior=fixed_prior)
-    selection = greedy_select(ds, SelectionConfig(d_max=5, rel_tol=0.0))
+    selection = greedy_select(ds, SelectionConfig(d_max=5))
     moments = class_moments(ds)
     # the last probe sits on the midpoint, where an even-prior score is exactly 0
     probes = np.vstack([rng.normal(1.0, 2.0, size=(40, 8)), (moments.m0 + moments.m1) / 2.0])
@@ -191,7 +194,7 @@ def test_train_rkc_decides_like_rkc_decisions_on_ill_conditioned_prefixes(model_
     entropy = _model_entropy(model_id)
     train = gen_model_dataset(model, 200, grid, (0, entropy, 200, run, 0))
     test = gen_model_dataset(model, 1000, grid, (0, entropy, 200, run, 2))
-    selection = greedy_select(train, SelectionConfig(d_max=10, rel_tol=0.0))
+    selection = greedy_select(train, SelectionConfig(d_max=10))
     decisions = rkc_decisions(train, selection, test.curves)
     for d in range(1, len(selection) + 1):
         clf = train_rkc(train, selection.points[:d])
@@ -212,7 +215,7 @@ def _rkc_decisions_trsm(dataset, selection, curves):
 def test_rkc_decisions_match_the_scipy_triangular_solve_on_the_catalog(n):
     # the bench's streams (plan seed 0, G = 100), with both selection sources
     grid = standard_grid(100)
-    config = SelectionConfig(d_max=10, rel_tol=0.0)
+    config = SelectionConfig(d_max=10)
     for model_id, model in builtin_catalog().items():
         entropy = _model_entropy(model_id)
         for run in range(3):
@@ -387,9 +390,25 @@ def fallback_rows(monkeypatch):
     return rows
 
 
+def _knn_decisions_cdist(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndarray:
+    """The exact kNN rule as it stood with ``cdist`` distances, the oracle of
+    ``_knn_decisions_exact`` and, being faster on whole query sets, of the screen.
+
+    One stable sort ranks each row by (distance, training index), and a
+    cumulative sum of the labels of the ``max(ks)`` nearest gives every vote.
+    """
+    ks = np.asarray(ks, dtype=int)
+    train_labels = np.asarray(train_labels)
+    scale = math.sqrt(grid.spacing)
+    dist = scipy.spatial.distance.cdist(np.asarray(curves) * scale, np.asarray(train_curves) * scale)
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, : int(ks.max())]
+    cum = np.cumsum(train_labels[nearest], axis=1)
+    return (cum[:, ks - 1].T * 2 > ks[:, None]).astype(int)
+
+
 def _assert_screen_is_exact(grid, train_curves, train_labels, curves, ks):
     got = knn_decisions(grid, train_curves, train_labels, curves, ks)
-    want = _knn_decisions_exact(grid, train_curves, train_labels, curves, ks)
+    want = _knn_decisions_cdist(grid, train_curves, train_labels, curves, ks)
     np.testing.assert_array_equal(got, want)
     return got
 
@@ -431,69 +450,66 @@ def _fresh_python(code, *args):
     return out.stdout.strip()
 
 
-def test_knn_plan_does_not_import_scipy_spatial(tmp_path):
-    # scipy.spatial costs every process about 5 MB and 66 modules; only the
-    # exact kNN fallback needs it, and no row of this plan reaches it
-    (tmp_path / "plan.ini").write_text(
-        "[plan]\nmodels = G2 L1-B\nsizes = 30\nruns = 2\ntest_size = 100\nvalidation_size = 40\n"
-        "grid_count = 50\nmethods = kNN Centroid\nseed = 3\n"
-    )
-    code = (
-        "import sys\n"
-        "import rkfda.cli\n"
-        "from rkfda.simulate import builtin_catalog\n"
-        "builtin_catalog()\n"
-        "plan, out = sys.argv[1:]\n"
-        "assert rkfda.cli.main(['bench', '--plan', plan, '--out', out]) == 0\n"
-        "print('scipy.spatial' in sys.modules)\n"
-    )
-    assert _fresh_python(code, tmp_path / "plan.ini", tmp_path / "report.csv") == "False"
-    assert len((tmp_path / "report.csv").read_text().splitlines()) == 5
+def test_no_rkfda_module_imports_scipy():
+    # rkfda depends on numpy alone; scipy is the tests' oracle.  Imports
+    # inside functions count too, so a lazy import cannot slip back in
+    src = Path(__file__).resolve().parents[1] / "src" / "rkfda"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_bench_plan_loads_no_scipy_module(tmp_path):
-    # rkfda's linear algebra is numpy's, and scipy.linalg would cost every
-    # process about 300 modules and 20 MB; scipy.spatial (5 MB) loads only
-    # for the exact kNN fallback, which no row of this plan reaches.  The plan
+    # numpy is rkfda's only dependency: scipy.linalg would cost every process
+    # about 300 modules and 20 MB, and scipy.spatial, which the exact kNN
+    # fallback used to import, about 0.4 s and 31 MB on its first row.  The plan
     # runs all four methods on a Gaussian, a logistic (L1-B: expit from libm,
-    # not scipy.special), an OU (L1-OU: no scipy.signal) and a smoothed model.
-    # Its kNN calls are one block each, which runs in the calling thread, so
+    # not scipy.special), an OU (L1-OU: no scipy.signal) and a smoothed model,
+    # and then a kNN call sends every row to the exact rule.  Its kNN calls
+    # are one block each, which runs in the calling thread, so
     # concurrent.futures (and the logging it pulls in) stays unloaded too
     (tmp_path / "plan.ini").write_text(
         "[plan]\nmodels = G2 L1-B L1-OU L4-sB\nsizes = 30\nruns = 2\ntest_size = 100\n"
         "validation_size = 40\ngrid_count = 50\nmethods = RK-C RK_B-C kNN Centroid\nd_max = 3\nseed = 3\n"
     )
+    # every curve has an exact twin of the other label, so at every odd k the
+    # k-th and (k+1)-th neighbours of a query tie and every row falls back
+    rng = np.random.default_rng(33)
+    grid, curves, labels = _pairs(rng, lambda base: base.copy())
+    query = rng.normal(size=(50, grid.count))
+    np.savez(tmp_path / "twins.npz", curves=curves, labels=labels, query=query)
     code = (
-        "import sys\n"
+        "import importlib, json, sys\n"
+        "import numpy as np\n"
         "import rkfda.cli\n"
+        "from rkfda import make_grid\n"
         "from rkfda.simulate import builtin_catalog\n"
         "builtin_catalog()\n"
-        "plan, out = sys.argv[1:]\n"
+        "plan, out, twins = sys.argv[1:]\n"
         "assert rkfda.cli.main(['bench', '--plan', plan, '--out', out]) == 0\n"
+        "classify = importlib.import_module('rkfda.classify')\n"
+        "exact, unsure = classify._knn_decisions_exact, []\n"
+        "classify._knn_decisions_exact = lambda *args: unsure.append(len(args[3])) or exact(*args)\n"
+        "data = np.load(twins)\n"
+        "got = classify.knn_decisions(make_grid(8, 0, 1), data['curves'], data['labels'], data['query'], [1, 3, 5])\n"
+        "print(json.dumps([unsure, got.tolist()]))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))\n"
     )
-    assert _fresh_python(code, tmp_path / "plan.ini", tmp_path / "report.csv") == "[]"
+    out = _fresh_python(code, tmp_path / "plan.ini", tmp_path / "report.csv", tmp_path / "twins.npz")
+    decided, loaded = out.splitlines()
+    assert loaded == "[]"
     assert len((tmp_path / "report.csv").read_text().splitlines()) == 17
-
-
-def test_knn_fallback_imports_scipy_spatial_and_decides_exactly():
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from rkfda import make_grid\n"
-        "from rkfda.classify import _knn_decisions_exact, knn_decisions\n"
-        "rng = np.random.default_rng(33)\n"
-        "base = rng.normal(size=(40, 8))\n"
-        "curves, labels = np.vstack([base, base]), np.repeat([0, 1], 40)\n"
-        "query, grid, ks = rng.normal(size=(50, 8)), make_grid(8, 0, 1), [1, 3, 5]\n"
-        "before = 'scipy.spatial' in sys.modules\n"
-        "got = knn_decisions(grid, curves, labels, query, ks)\n"
-        "after = 'scipy.spatial' in sys.modules\n"
-        "want = _knn_decisions_exact(grid, curves, labels, query, ks)\n"
-        "print(before, after, np.array_equal(got, want))\n"
-    )
-    # every copy ties its twin exactly, so each query row falls back
-    assert _fresh_python(code) == "False True True"
+    unsure, got = json.loads(decided)
+    assert unsure == [len(query)]
+    np.testing.assert_array_equal(got, _knn_decisions_cdist(grid, curves, labels, query, [1, 3, 5]))
 
 
 def test_knn_screen_sends_duplicates_straddling_k_to_the_exact_rule(fallback_rows):
@@ -629,7 +645,7 @@ def test_knn_decisions_from_concurrent_user_threads_are_exact():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for query, decided in zip(queries, got):
-        np.testing.assert_array_equal(decided, _knn_decisions_exact(grid, train.curves, train.labels, query, ODD_KS))
+        np.testing.assert_array_equal(decided, _knn_decisions_cdist(grid, train.curves, train.labels, query, ODD_KS))
 
 
 # The exact rule as it stood before one stable sort replaced its partial
@@ -638,16 +654,12 @@ def _knn_decisions_partitioned(grid: Grid, train_curves, train_labels, curves, k
     """The kNN rule that :func:`knn_decisions` reproduces, from exact ranks.
 
     Same arguments and result.  Distances come from ``cdist`` on the
-    sqrt(dt)-scaled curves; ``scipy.spatial`` is imported here, on the first
-    call, so that a process whose kNN screen is never unsure does not load
-    it.  One partial sort keeps the ``max(ks)`` nearest curves of each row,
+    sqrt(dt)-scaled curves.  One partial sort keeps the ``max(ks)`` nearest curves of each row,
     and a cumulative sum of their labels in (distance, training index) order
     gives every vote.  Rows in which further curves tie the ``max(ks)``-th
     distance are ranked in full, so exact ties always go to the smaller
     training index.
     """
-    import scipy.spatial.distance
-
     ks = np.asarray(ks, dtype=int)
     train_labels = np.asarray(train_labels)
     k_max = int(ks.max())
@@ -698,6 +710,37 @@ def test_knn_exact_rule_matches_the_partitioned_rule_on_the_catalog():
         query = gen_model_dataset(model, 100, grid, (43, 1))
         args = (grid, train.curves, train.labels, query.curves, ODD_KS)
         np.testing.assert_array_equal(_knn_decisions_exact(*args), _knn_decisions_partitioned(*args), err_msg=model_id)
+
+
+def _exact_rule_cases():
+    """The tie cases, and grids of 2 and 1000 points and a single training curve."""
+    yield from _tie_cases()
+    rng = np.random.default_rng(44)
+    for count, n in ((2, 200), (1000, 200), (100, 1)):
+        curves = rng.normal(size=(n, count))
+        yield f"G{count}-n{n}", make_grid(count, 0, 1), curves, rng.integers(0, 2, size=n), rng.normal(size=(60, count))
+
+
+@pytest.mark.parametrize("case", list(_exact_rule_cases()), ids=lambda case: case[0])
+def test_knn_exact_rule_matches_the_cdist_rule_bit_for_bit(case):
+    # the grid-order sum gives cdist's distances bit for bit, overflow to inf
+    # included, so the votes agree at every k
+    _, grid, curves, labels, query = case
+    n = len(curves)
+    for ks in ([k for k in ODD_KS if k <= n], list(range(1, n + 1))):
+        np.testing.assert_array_equal(
+            _knn_decisions_exact(grid, curves, labels, query, ks),
+            _knn_decisions_cdist(grid, curves, labels, query, ks),
+        )
+
+
+def test_knn_exact_rule_matches_the_cdist_rule_on_the_catalog():
+    grid = standard_grid(100)
+    for model_id, model in sorted(builtin_catalog().items()):
+        train = gen_model_dataset(model, 200, grid, (45, 0))
+        query = gen_model_dataset(model, 100, grid, (45, 1))
+        args = (grid, train.curves, train.labels, query.curves, ODD_KS)
+        np.testing.assert_array_equal(_knn_decisions_exact(*args), _knn_decisions_cdist(*args), err_msg=model_id)
 
 
 def test_knn_screen_on_a_single_query_row():

@@ -217,6 +217,42 @@ def test_cli_usage_error_ends_with_its_error_code(argv, capsys):
     assert captured.err.startswith("usage: rkfda") and "error: " in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--model", "G2", "--n", "0", "--out", "s.csv"],
+        ["simulate", "--model", "G2", "--n", "4", "--grid-count", "1", "--out", "s.csv"],
+        ["simulate", "--model", "G2", "--n", "4", "--seed", "-1", "--out", "s.csv"],
+        ["train", "--data", "d.csv", "--method", "knn", "--prior", "abc", "--out", "m.txt"],
+        ["train", "--data", "d.csv", "--method", "knn", "--prior", "1.5", "--out", "m.txt"],
+        ["train", "--data", "d.csv", "--method", "knn", "--k", "0", "--out", "m.txt"],
+        ["select", "--data", "d.csv", "--d-max", "0"],
+        ["bayes", "--norm", "2", "--p", "1.5"],
+        ["eigen", "--kernel", "brownian", "--grid-count", "1"],
+        ["bench", "--plan", "p.ini", "--out", "r.csv", "--hist-model", "G2", "--hist-n", "0"],
+    ],
+    ids=["n-0", "grid-count-1", "seed-negative", "prior-abc", "prior-1.5", "k-0", "d-max-0", "p-1.5",
+         "eigen-grid-count-1", "hist-n-0"],
+)
+def test_cli_out_of_range_option_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "error_code=usage-error"
+    assert "error: argument --" in captured.err
+
+
+def test_cli_prior_estimated_parses_and_k_above_n_is_a_numeric_failure(tmp_path, capsys):
+    path, ds = _toy_file(tmp_path, n=20)
+    out = tmp_path / "m.txt"
+    assert main(["train", "--data", str(path), "--method", "knn", "--prior", "estimated", "--out", str(out)]) == 0
+    # k above n depends on the data, so it is checked after reading them
+    argv = ["train", "--data", str(path), "--method", "knn", "--k", str(ds.size + 1), "--out", str(out)]
+    assert main(argv) == 4
+    assert capsys.readouterr().out.splitlines()[-1] == "error_code=numeric-failure"
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["bench", "--help"]])
 def test_cli_help_exits_0_without_an_error_code(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -334,7 +370,7 @@ def test_cli_rkc_model_file_predicts_like_the_bench_rule_on_a_dense_grid(tmp_pat
                  "--out", str(pred_path)]) == 0
     labels = np.array([int(l.split(",")[1]) for l in pred_path.read_text().strip().splitlines()[1:]])
     train, test = io.read_dataset(paths["train"]), io.read_dataset(paths["test"])
-    selection = greedy_select(train, SelectionConfig(d_max=10, rel_tol=0.0))
+    selection = greedy_select(train, SelectionConfig(d_max=10))
     d = io.read_classifier(model_path).indices.size
     assert d == 10
     np.testing.assert_array_equal(labels, rkc_decisions(train, selection, test.curves)[d - 1])

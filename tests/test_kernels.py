@@ -203,7 +203,7 @@ def _bench_selection(model_id, run):
     train = gen_model_dataset(
         builtin_catalog()[model_id], 200, standard_grid(1000), (0, _model_entropy(model_id), 200, run, 0)
     )
-    return train, greedy_select(train, SelectionConfig(d_max=10, rel_tol=0.0))
+    return train, greedy_select(train, SelectionConfig(d_max=10))
 
 
 def _random_factor(d, seed):

@@ -63,7 +63,7 @@ def test_greedy_trace_nondecreasing_empirical():
     curves = np.cumsum(rng.standard_normal((60, 30)) * steps, axis=1)
     curves[30:] += g.points  # shift class 1
     ds = LabeledDataset(grid=g, curves=curves, labels=np.array([0] * 30 + [1] * 30))
-    result = greedy_select(ds, SelectionConfig(d_max=8, rel_tol=0.0))
+    result = greedy_select(ds, SelectionConfig(d_max=8))
     assert np.all(np.array(result.psi_trace) >= 0)
     assert np.all(np.diff(result.psi_trace) >= 0)
 
@@ -89,11 +89,11 @@ def test_delta_counts_grid_steps_on_an_offset_grid():
     g = make_grid(200, 1e4, 1e4 + 1)
     src = oracle_source(OrnsteinUhlenbeckKernel(), g, np.ones(g.count))
     for i in range(g.count - 1):
-        pair = greedy_select(src, SelectionConfig(d_max=2, candidate_mask=[i, i + 1], rel_tol=0.0))
+        pair = greedy_select(src, SelectionConfig(d_max=2, candidate_mask=[i, i + 1]))
         assert sorted(pair.indices.tolist()) == [i, i + 1]
     # every first-step score ties, so i goes first; i + 3 is delta away, i + 2 is not
     for i in range(g.count - 3):
-        config = SelectionConfig(d_max=3, delta=3 * g.spacing, candidate_mask=[i, i + 2, i + 3], rel_tol=0.0)
+        config = SelectionConfig(d_max=3, delta=3 * g.spacing, candidate_mask=[i, i + 2, i + 3])
         assert greedy_select(src, config).indices.tolist() == [i, i + 3]
 
 
@@ -119,9 +119,9 @@ def test_selection_invariant_under_curve_scaling():
     rng = np.random.default_rng(33)
     g = make_grid(25, 0, 1)
     ds = _brownian_dataset(rng, 40, g, shift=2 * g.points)
-    base = greedy_select(ds, SelectionConfig(d_max=5, rel_tol=0.0))
+    base = greedy_select(ds, SelectionConfig(d_max=5))
     scaled_ds = LabeledDataset(grid=g, curves=5.0 * ds.curves, labels=ds.labels)
-    scaled = greedy_select(scaled_ds, SelectionConfig(d_max=5, rel_tol=0.0))
+    scaled = greedy_select(scaled_ds, SelectionConfig(d_max=5))
     np.testing.assert_array_equal(base.indices, scaled.indices)
 
 
@@ -129,21 +129,22 @@ def test_selection_invariant_under_common_shift():
     rng = np.random.default_rng(34)
     g = make_grid(25, 0, 1)
     ds = _brownian_dataset(rng, 40, g, shift=2 * g.points)
-    base = greedy_select(ds, SelectionConfig(d_max=5, rel_tol=0.0))
+    base = greedy_select(ds, SelectionConfig(d_max=5))
     shift_curve = np.sin(2 * np.pi * g.points) + 7.0
     shifted_ds = LabeledDataset(grid=g, curves=ds.curves + shift_curve, labels=ds.labels)
-    shifted = greedy_select(shifted_ds, SelectionConfig(d_max=5, rel_tol=0.0))
+    shifted = greedy_select(shifted_ds, SelectionConfig(d_max=5))
     np.testing.assert_array_equal(base.indices, shifted.indices)
 
 
-def test_identical_classes_give_single_near_zero_step():
+def test_identical_classes_give_a_zero_psi_trace():
+    # the mean difference is exactly zero, so every step gains nothing, and
+    # the search still runs to d_max: it has no early stop
     rng = np.random.default_rng(35)
     g = make_grid(15, 0, 1)
     rows = np.cumsum(rng.standard_normal((20, 15)) * np.sqrt(np.diff(g.points, prepend=0.0)), axis=1)
     ds = LabeledDataset(grid=g, curves=np.vstack([rows, rows]), labels=np.array([0] * 20 + [1] * 20))
     result = greedy_select(ds, SelectionConfig(d_max=5))
-    assert len(result) == 1
-    assert result.psi_trace[0] == pytest.approx(0.0, abs=1e-12)
+    assert result.psi_trace.tolist() == [0.0] * 5
 
 
 def _loop_select(source, config: SelectionConfig) -> SelectionResult:
@@ -167,7 +168,6 @@ def _loop_select(source, config: SelectionConfig) -> SelectionResult:
 
     chosen: list[int] = []
     trace: list[float] = []
-    prev_psi = 0.0
     for step in range(config.d_max):
         t_chosen = grid.points[chosen] if chosen else np.empty(0)
         best_idx = -1
@@ -186,11 +186,8 @@ def _loop_select(source, config: SelectionConfig) -> SelectionResult:
             if step == 0:
                 raise ValueError("no admissible candidate point at the first step")
             break
-        if step > 0 and best_psi - prev_psi < config.rel_tol * max(prev_psi, 1.0):
-            break
         chosen.append(best_idx)
         trace.append(best_psi)
-        prev_psi = best_psi
     return SelectionResult(
         points=grid.points[chosen],
         indices=np.array(chosen, dtype=int),
@@ -221,8 +218,8 @@ def _assert_factor_reproduces(selection, source):
     np.testing.assert_allclose(np.cumsum(w * w), selection.psi_trace, rtol=1e-8)
 
 
-# The bench's selection settings: d_max 10 with no early stop.
-_BENCH_CONFIG = SelectionConfig(d_max=10, rel_tol=0.0)
+# The bench's selection settings: d_max 10.
+_BENCH_CONFIG = SelectionConfig(d_max=10)
 
 
 @pytest.mark.parametrize("model_id", sorted(builtin_catalog()))
@@ -247,12 +244,11 @@ def test_selection_result_factor_must_be_d_by_d():
             SelectionResult(**args, factor=factor)
 
 
-def test_scan_matches_loop_with_mask_delta_and_early_stop():
+def test_scan_matches_loop_with_mask_and_delta():
     ds = gen_model_dataset(builtin_catalog()["G4"], 50, standard_grid(100), (23, 0))
     for config in (
         SelectionConfig(d_max=6, delta=0.05, candidate_mask=np.arange(10, 90, 2)),
-        SelectionConfig(d_max=8, delta=3 * ds.grid.spacing, rel_tol=0.0),
-        SelectionConfig(d_max=10, rel_tol=0.05),
+        SelectionConfig(d_max=8, delta=3 * ds.grid.spacing),
     ):
         _assert_same_selection(ds, config)
 
@@ -272,7 +268,7 @@ def test_pinned_bridge_endpoints_are_never_selected():
     # K(t, t) = 0 at both ends of a Brownian bridge on [0, 1]
     g = make_grid(21, 0, 1)
     src = oracle_source(BrownianBridgeKernel(1.0), g, np.ones(g.count))
-    result = greedy_select(src, SelectionConfig(d_max=g.count, rel_tol=0.0))
+    result = greedy_select(src, SelectionConfig(d_max=g.count))
     assert len(result) == g.count - 2
     assert 0.0 not in result.points and 1.0 not in result.points
 
@@ -284,7 +280,7 @@ def test_constant_column_is_never_selected():
     curves = ds.curves.copy()
     curves[:, 5] = 2.0  # zero variance, zero mean difference
     ds = LabeledDataset(grid=g, curves=curves, labels=ds.labels)
-    result = greedy_select(ds, SelectionConfig(d_max=g.count, rel_tol=0.0))
+    result = greedy_select(ds, SelectionConfig(d_max=g.count))
     assert 5 not in result.indices
     assert len(result) == g.count - 1
 
@@ -296,7 +292,7 @@ def test_duplicate_column_is_skipped_after_its_twin():
     curves = ds.curves.copy()
     curves[:, 7] = curves[:, 3]  # two identical data columns
     ds = LabeledDataset(grid=g, curves=curves, labels=ds.labels)
-    result = greedy_select(ds, SelectionConfig(d_max=g.count, rel_tol=0.0))
+    result = greedy_select(ds, SelectionConfig(d_max=g.count))
     assert len({3, 7} & set(result.indices.tolist())) == 1
     assert len(result) == g.count - 1
     assert np.all(np.diff(result.psi_trace) >= 0)
