@@ -39,7 +39,6 @@ from .rkhs import (
     rkhs_norm_sq,
     truncation_sequence,
 )
-from .estimate import class_moments, pooled_cov
 from .select import (
     SelectionConfig,
     greedy_select,

@@ -176,15 +176,23 @@ def _int_from(low: int):
     return parse
 
 
-def _probability(text: str) -> float:
-    """An argparse type: a probability strictly inside (0, 1)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
-    return value
+def _float_in(low: float, high: float):
+    """An argparse type: a number strictly inside (low, high), else a usage error."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"must lie in ({low:g}, {high:g}), got {text}")
+        return value
+
+    return parse
+
+
+_probability = _float_in(0.0, 1.0)
+_positive = _float_in(0.0, math.inf)
 
 
 def _prior(text: str) -> float | None:
@@ -218,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="greedy variable selection on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--d-max", type=_int_from(1), required=True)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--delta", type=_positive)
     p.add_argument("--kernel", help="use an analytic covariance instead of the pooled estimate")
     p.set_defaults(func=_cmd_select)
 
@@ -227,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("rkc", "knn", "centroid"), required=True)
     p.add_argument("--points", help="comma-separated grid times for rkc")
     p.add_argument("--d-max", type=_int_from(1), help="run greedy selection first (rkc)")
-    p.add_argument("--delta", type=float)
+    p.add_argument("--delta", type=_positive)
     p.add_argument("--kernel", help="analytic covariance for oracle rkc")
     p.add_argument("--k", type=_int_from(1), default=5, help="neighbours for knn")
     p.add_argument("--r", type=_int_from(1), default=1, help="truncation order for centroid")
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-count", type=_int_from(2), default=100)
     p.add_argument("--t-min", type=float, default=0.0)
     p.add_argument("--t-max", type=float, default=1.0)
-    p.add_argument("--max-order", type=int, default=10)
+    p.add_argument("--max-order", type=_int_from(1), default=10)
     p.set_defaults(func=_cmd_eigen)
 
     p = sub.add_parser("bench", help="run an experiment plan, write the report")
@@ -263,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog")
     p.add_argument("--hist-model", help="also write a selection histogram for this model")
     p.add_argument("--hist-n", type=_int_from(1), default=1000)
-    p.add_argument("--hist-runs", type=int, default=100)
+    p.add_argument("--hist-runs", type=_int_from(1), default=100)
     p.add_argument("--hist-d", type=_int_from(1), default=5)
     p.add_argument("--hist-out", default="histogram.csv")
     p.set_defaults(func=_cmd_bench)

@@ -75,8 +75,8 @@ class SelectionConfig:
     def __post_init__(self):
         if self.d_max < 1:
             raise ValueError("d_max must be at least 1")
-        if self.delta is not None and self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if self.delta is not None and not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

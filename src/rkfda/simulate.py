@@ -37,8 +37,14 @@ over the block would round differently and change the data.  The smoothing
 matrix is cached read-only by the grid's point values and the bandwidth,
 so the datasets of a plan, and the threads that make them, share it.
 
+A component's trend is a flat tuple of terms -- :class:`LinearTrend`,
+:class:`PeakTrend`, :class:`HillsideTrend` and :class:`RandomSlopeTrend` --
+whose values are added onto zeros in order; ``()`` is a zero mean.  Random
+slopes draw in the order their terms appear.
+
 The built-in catalog ships as a plain-text file, ``models.catalog``, parsed
-by :func:`parse_catalog`.
+by :func:`parse_catalog`.  Trends and logistic links are read by one
+signed-term reader, which applies a term's optional ``c *`` coefficient.
 """
 
 from __future__ import annotations
@@ -58,12 +64,10 @@ from .core import DatasetFormatError, Grid, LabeledDataset, make_grid
 from .kernels import BrownianBridgeKernel, BrownianKernel, OrnsteinUhlenbeckKernel
 
 __all__ = [
-    "ZeroTrend",
     "LinearTrend",
     "RandomSlopeTrend",
     "PeakTrend",
     "HillsideTrend",
-    "SumTrend",
     "TrendSpec",
     "trend_eval",
     "trend_realize",
@@ -92,12 +96,6 @@ GAUSSIAN_FAMILY = ("G2", "G2b", "G4", "G5", "G6", "G7", "G8")
 # ---------------------------------------------------------------------------
 # Trend functions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ZeroTrend:
-    def values(self, t: np.ndarray) -> np.ndarray:
-        return np.zeros_like(t)
 
 
 @dataclass(frozen=True)
@@ -160,51 +158,39 @@ class HillsideTrend:
         return self.slope * np.clip(t - self.t0, 0.0, None)
 
 
-@dataclass(frozen=True)
-class SumTrend:
-    terms: tuple
+TrendSpec = Union[LinearTrend, PeakTrend, HillsideTrend, RandomSlopeTrend]
 
 
-TrendSpec = Union[ZeroTrend, LinearTrend, RandomSlopeTrend, PeakTrend, HillsideTrend, SumTrend]
-
-
-def trend_eval(spec: TrendSpec, t) -> np.ndarray | float:
+def trend_eval(trend: tuple, t) -> np.ndarray | float:
     """Evaluate a deterministic trend; random-slope trends need an RNG stream."""
-    if _random_terms(spec):
+    if any(isinstance(term, RandomSlopeTrend) for term in trend):
         raise ValueError("random-slope trends require trend_realize with an rng")
     tt = np.asarray(t, dtype=float)
-    out = _trend_values(spec, tt, None)  # no random term, so no slope is asked for
+    out = _trend_values(trend, tt, ())
     return float(out) if tt.ndim == 0 else out
 
 
-def trend_realize(spec: TrendSpec, points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def trend_realize(trend: tuple, points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Sample one realization of the trend on the given times."""
-    return _trend_values(spec, points, lambda term: rng.normal(0.0, term.sd))
+    slopes = [rng.normal(0.0, term.sd) for term in trend if isinstance(term, RandomSlopeTrend)]
+    return _trend_values(trend, points, slopes)
 
 
-def _random_terms(trend: TrendSpec) -> list:
-    """The random-slope terms of a trend, in the order they draw their slopes."""
-    if isinstance(trend, RandomSlopeTrend):
-        return [trend]
-    if isinstance(trend, SumTrend):
-        return [t for term in trend.terms for t in _random_terms(term)]
-    return []
+def _trend_values(trend: tuple, points: np.ndarray, slopes) -> np.ndarray:
+    """The terms' values on ``points``, added onto zeros in order.
 
-
-def _trend_values(spec: TrendSpec, points: np.ndarray, slope) -> np.ndarray:
-    """Trend values on ``points``; ``slope(term)`` gives a random term's slope.
-
-    A scalar slope gives one curve's trend; a vector of k slopes gives a
-    (k, G) block, one curve per row.
+    ``slopes`` gives the random-slope terms' slopes, in order: a scalar
+    slope gives one curve's trend; a vector of k slopes gives a (k, G)
+    block, one curve per row.
     """
-    if isinstance(spec, RandomSlopeTrend):
-        return np.multiply.outer(slope(spec), points)
-    if isinstance(spec, SumTrend):
-        total = np.zeros_like(points)
-        for term in spec.terms:
-            total = total + _trend_values(term, points, slope)
-        return total
-    return spec.values(points)
+    slopes = iter(slopes)
+    total = np.zeros_like(points)
+    for term in trend:
+        if isinstance(term, RandomSlopeTrend):
+            total = total + np.multiply.outer(next(slopes), points)
+        else:
+            total = total + term.values(points)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +246,14 @@ class _Component:
     """
 
     process: ProcessSpec
-    trend: TrendSpec
+    trend: tuple
     tail: float = 0.0
     slope_sds: tuple = ()
     weights: np.ndarray | None = None
 
 
-def _component(process: ProcessSpec, trend: TrendSpec, grid: Grid) -> _Component:
-    slope_sds = tuple(term.sd for term in _random_terms(trend))
+def _component(process: ProcessSpec, trend: tuple, grid: Grid) -> _Component:
+    slope_sds = tuple(term.sd for term in trend if isinstance(term, RandomSlopeTrend))
     if isinstance(process, BrownianBridgeKernel):
         return _Component(process, trend, _bridge_tail(process, grid), slope_sds)
     if isinstance(process, SmoothedBrownian):
@@ -320,7 +306,7 @@ def _process_paths(comp: _Component, grid: Grid, block: np.ndarray, end_normals:
 
 def gen_process(spec: ProcessSpec, grid: Grid, rng: np.random.Generator) -> np.ndarray:
     """Draw one trajectory of the process from its exact law on the grid."""
-    comp = _component(spec, ZeroTrend(), grid)
+    comp = _component(spec, (), grid)
     block = np.empty((1, grid.count))
     rng.standard_normal(out=block[0])
     end = rng.standard_normal() if comp.tail else 0.0
@@ -335,8 +321,14 @@ def gen_process(spec: ProcessSpec, grid: Grid, rng: np.random.Generator) -> np.n
 
 @dataclass(frozen=True)
 class GaussianComponent:
+    """A process plus a trend: a tuple of terms, summed in order; ``()`` is a zero mean."""
+
     process: ProcessSpec
-    trend: TrendSpec = ZeroTrend()
+    trend: tuple[TrendSpec, ...] = ()
+
+    def __post_init__(self):
+        if not isinstance(self.trend, tuple):
+            raise TypeError("trend must be a tuple of terms")
 
 
 @dataclass(frozen=True)
@@ -359,7 +351,7 @@ class ClassLaw:
         """Weighted deterministic mean; random-slope parts average to zero."""
         total = np.zeros_like(points)
         for w, comp in zip(self.weights, self.components):
-            total = total + w * _trend_values(comp.trend, points, lambda term: 0.0)
+            total = total + w * _trend_values(comp.trend, points, [0.0] * len(comp.trend))
         return total
 
 
@@ -581,8 +573,7 @@ def _component_paths(comp: _Component, grid: Grid, curves, rows, end_normals, sl
         # all rows in one component: transform views in place; else gather and scatter
         block = curves[start : start + step] if whole else curves[r]
         _process_paths(comp, grid, block, end_normals[r])
-        columns = iter(slopes[r].T)
-        block += _trend_values(comp.trend, grid.points, lambda term: next(columns))
+        block += _trend_values(comp.trend, grid.points, slopes[r].T)
         if not whole:
             curves[r] = block
 
@@ -666,27 +657,34 @@ def gen_model_dataset(model: ModelSpec, n: int, grid: Grid, seed) -> LabeledData
 # ---------------------------------------------------------------------------
 
 _NUM = r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+# a number's mantissa and exponent letter, whose sign follows: '1e' of '1e-3'
+_MANTISSA_E = re.compile(r"(?<![\w.])\d+(?:\.\d+)?[eE]$")
+_COEFFICIENT = re.compile(rf"({_NUM})\s*\*\s*(.+)")
 
 
-def _split_signed_terms(text: str) -> list[tuple[float, str]]:
-    """Split 'A + B - C' into [(+1, A), (+1, B), (-1, C)] at depth zero."""
+def _signed_terms(text: str) -> list[tuple[float, str]]:
+    """Read 'A + c*B - C' as [(1, 'A'), (c, 'B'), (-1, 'C')].
+
+    Terms split at a '+' or '-' outside parentheses, except the sign of a
+    number's exponent; a term's coefficient is its sign times its optional
+    leading 'c *'.
+    """
     terms: list[tuple[float, str]] = []
-    sign, buf, depth = 1.0, [], 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and buf and "".join(buf).strip():
-            terms.append((sign, "".join(buf).strip()))
-            sign, buf = (1.0 if ch == "+" else -1.0), []
-        elif depth == 0 and ch in "+-" and not "".join(buf).strip():
-            sign *= 1.0 if ch == "+" else -1.0
-        else:
-            buf.append(ch)
-    tail = "".join(buf).strip()
-    if tail:
-        terms.append((sign, tail))
+    sign, buf, depth = 1.0, "", 0
+    for ch in text + "+":  # the final '+' ends the last term
+        depth += (ch == "(") - (ch == ")")
+        if depth or ch not in "+-" or _MANTISSA_E.search(buf):
+            buf += ch
+            continue
+        term = buf.strip()
+        if term:
+            m = _COEFFICIENT.fullmatch(term)
+            terms.append((sign * float(m.group(1)), m.group(2).strip()) if m else (sign, term))
+            sign, buf = 1.0, ""
+        if ch == "-":
+            sign = -sign
+    if depth:
+        raise DatasetFormatError(f"unbalanced parentheses in {text!r}")
     return terms
 
 
@@ -711,12 +709,7 @@ def _parse_process(token: str) -> ProcessSpec:
     raise DatasetFormatError(f"unknown process token {token!r}")
 
 
-def _parse_trend_term(sign: float, term: str) -> TrendSpec:
-    coef = sign
-    m = re.fullmatch(rf"({_NUM})\s*\*\s*(.+)", term)
-    if m:
-        coef = sign * float(m.group(1))
-        term = m.group(2).strip()
+def _parse_trend_term(coef: float, term: str) -> TrendSpec:
     if term == "t":
         return LinearTrend(slope=coef)
     m = re.fullmatch(rf"Phi\(\s*(\d+)\s*,\s*({_NUM})\s*\)", term)
@@ -727,26 +720,18 @@ def _parse_trend_term(sign: float, term: str) -> TrendSpec:
         return HillsideTrend(t0=float(m.group(1)), slope=coef * float(m.group(2)))
     m = re.fullmatch(rf"rslope\(\s*({_NUM})\s*\)", term)
     if m:
-        return RandomSlopeTrend(sd=float(m.group(1)))
+        return RandomSlopeTrend(sd=abs(coef) * float(m.group(1)))
     raise DatasetFormatError(f"unknown trend term {term!r}")
 
 
 def _parse_component(text: str) -> GaussianComponent:
-    terms = _split_signed_terms(text)
+    terms = _signed_terms(text)
     if not terms:
         raise DatasetFormatError(f"empty component in {text!r}")
-    sign, proc = terms[0]
-    if sign < 0:
-        raise DatasetFormatError("component must start with a process")
-    trends = tuple(_parse_trend_term(s, t) for s, t in terms[1:])
-    trend: TrendSpec
-    if not trends:
-        trend = ZeroTrend()
-    elif len(trends) == 1:
-        trend = trends[0]
-    else:
-        trend = SumTrend(terms=trends)
-    return GaussianComponent(process=_parse_process(proc), trend=trend)
+    (coef, proc), *trend = terms
+    if coef != 1.0 or not text.lstrip().startswith(proc):
+        raise DatasetFormatError("component must start with a process, without sign or coefficient")
+    return GaussianComponent(_parse_process(proc), tuple(_parse_trend_term(c, t) for c, t in trend))
 
 
 def _parse_class_law(text: str) -> ClassLaw:
@@ -774,15 +759,10 @@ def eval_fraction(text: str) -> float:
 
 def _parse_link(text: str, reference_count: int) -> tuple:
     terms = []
-    for sign, term in _split_signed_terms(text):
-        coef = sign
-        m = re.fullmatch(rf"({_NUM})\s*\*\s*(.+)", term)
-        if m:
-            coef = sign * float(m.group(1))
-            term = m.group(2).strip()
+    for coef, term in _signed_terms(text):
         recip = re.fullmatch(rf"({_NUM})\s*/\s*X(\d+)", term)
         if recip:
-            terms.append(LinkTerm("recip", sign * float(recip.group(1)), int(recip.group(2))))
+            terms.append(LinkTerm("recip", coef * float(recip.group(1)), int(recip.group(2))))
             continue
         m = re.fullmatch(r"X(\d+)\s*\^\s*(\d+)", term)
         if m:

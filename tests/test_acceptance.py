@@ -20,16 +20,15 @@ from rkfda import (
     SelectionConfig,
     bayes_error,
     bayes_discriminant,
-    class_moments,
     discretized_eigen,
     gram,
     greedy_select,
     mahalanobis_psi,
     make_grid,
-    pooled_cov,
     truncation_sequence,
 )
 from rkfda.bench import ExperimentPlan, run_experiment, variable_recovery_histogram
+from rkfda.estimate import class_moments, pooled_cov
 from rkfda.simulate import GAUSSIAN_FAMILY, builtin_catalog, gen_process, standard_grid
 from rkfda import io as rkio
 

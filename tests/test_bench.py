@@ -52,7 +52,7 @@ from test_classify import _knn_decisions_cdist, _refit_rkc
 
 def _gauss_model(model_id, slope1, relevant=()):
     brownian = GaussianComponent(BrownianKernel())
-    shifted = GaussianComponent(BrownianKernel(), LinearTrend(slope1))
+    shifted = GaussianComponent(BrownianKernel(), (LinearTrend(slope1),))
     return GaussianModel(
         id=model_id,
         class0=ClassLaw((brownian,)),
@@ -77,7 +77,7 @@ def test_histogram_single_informative_point():
     from rkfda.simulate import PeakTrend, standard_grid
 
     grid = standard_grid(20)
-    bump = GaussianComponent(BrownianKernel(), PeakTrend(6, 16.5, coefficient=100.0))
+    bump = GaussianComponent(BrownianKernel(), (PeakTrend(6, 16.5, coefficient=100.0),))
     catalog = {
         "ONE": GaussianModel(
             id="ONE",

@@ -21,18 +21,17 @@ from rkfda import (
     RKCClassifier,
     TrainingError,
     bayes_error,
-    class_moments,
     classify,
     classify_batch,
     discretized_eigen,
     error_rate,
     make_grid,
-    pooled_cov,
     train_centroid,
     train_knn,
     train_rkc,
 )
 from rkfda.bench import ExperimentPlan, _apply_method, _knn_accuracies, _model_entropy
+from rkfda.estimate import class_moments, pooled_cov
 from rkfda.classify import (
     _BLOCK_BYTES,
     CentroidClassifier,

@@ -230,9 +230,19 @@ def test_cli_usage_error_ends_with_its_error_code(argv, capsys):
         ["bayes", "--norm", "2", "--p", "1.5"],
         ["eigen", "--kernel", "brownian", "--grid-count", "1"],
         ["bench", "--plan", "p.ini", "--out", "r.csv", "--hist-model", "G2", "--hist-n", "0"],
+        ["select", "--data", "d.csv", "--d-max", "1", "--delta", "0"],
+        ["select", "--data", "d.csv", "--d-max", "1", "--delta", "-1"],
+        ["select", "--data", "d.csv", "--d-max", "1", "--delta", "nan"],
+        ["select", "--data", "d.csv", "--d-max", "1", "--delta", "inf"],
+        ["train", "--data", "d.csv", "--method", "rkc", "--d-max", "1", "--delta", "inf", "--out", "m.txt"],
+        ["bench", "--plan", "p.ini", "--out", "r.csv", "--hist-model", "G2", "--hist-runs", "-1"],
+        ["bench", "--plan", "p.ini", "--out", "r.csv", "--hist-model", "G2", "--hist-runs", "0"],
+        ["eigen", "--kernel", "brownian", "--max-order", "-1"],
+        ["eigen", "--kernel", "brownian", "--max-order", "0"],
     ],
     ids=["n-0", "grid-count-1", "seed-negative", "prior-abc", "prior-1.5", "k-0", "d-max-0", "p-1.5",
-         "eigen-grid-count-1", "hist-n-0"],
+         "eigen-grid-count-1", "hist-n-0", "delta-0", "delta-negative", "delta-nan", "delta-inf",
+         "train-delta-inf", "hist-runs-negative", "hist-runs-0", "max-order-negative", "max-order-0"],
 )
 def test_cli_out_of_range_option_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -394,8 +404,15 @@ def test_cli_dataset_parse_failure(tmp_path, capsys):
         ("[X]\ntype = logistic\nprocess = B\nlink = X1\nreference_count = abc\n", "reference_count"),
         ("[X]\nclass0 = B\nclass1 = B + Phi(2000, 1)\n", "class1"),
         ("[X]\nclass0 = B\nclass1 = B + t\nrelevant = a\n", "relevant"),
+        ("[X]\nclass0 = -B\nclass1 = B\n", "class0"),
+        ("[X]\nclass0 = B\nclass1 = 2*B + t\n", "class1"),
+        ("[X]\nclass0 = B\nclass1 = 1*B + t\n", "class1"),
+        ("[X]\nclass0 = B + Phi(1,1\nclass1 = B\n", "class0"),
+        ("[X]\ntype = logistic\nprocess = B\nlink = X1) + X2\n", "link"),
     ],
-    ids=["no-class1", "no-process", "weight-1/0", "prior-1/0", "prior-1.5", "reference-abc", "level-overflow", "relevant-abc"],
+    ids=["no-class1", "no-process", "weight-1/0", "prior-1/0", "prior-1.5", "reference-abc", "level-overflow",
+         "relevant-abc", "process-negated", "process-coefficient", "process-unit-coefficient",
+         "unclosed-parenthesis", "unopened-parenthesis"],
 )
 def test_cli_simulate_with_a_malformed_catalog_is_a_parse_error(tmp_path, capsys, catalog, key):
     path = tmp_path / "bad.catalog"

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rkfda import LabeledDataset, TrainingError, class_moments, make_grid, pooled_cov
+from rkfda import LabeledDataset, TrainingError, make_grid
+from rkfda.estimate import class_moments, pooled_cov
 from rkfda.kernels import BrownianKernel
 from rkfda.simulate import builtin_catalog, gen_model_dataset, gen_process, standard_grid
 

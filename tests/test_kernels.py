@@ -15,10 +15,10 @@ from rkfda import (
     kernel_eval,
     mahalanobis_psi,
     make_grid,
-    pooled_cov,
     solve_spd,
 )
 from rkfda.bench import _model_entropy
+from rkfda.estimate import pooled_cov
 from rkfda.kernels import _solve_lower
 from rkfda.select import SelectionConfig, greedy_select
 from rkfda.simulate import builtin_catalog, gen_model_dataset, standard_grid

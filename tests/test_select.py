@@ -8,14 +8,13 @@ from rkfda import (
     LabeledDataset,
     OrnsteinUhlenbeckKernel,
     SelectionConfig,
-    class_moments,
     greedy_select,
     make_grid,
     oracle_source,
     oracle_source_from_dataset,
-    pooled_cov,
 )
 from rkfda.core import SelectionResult, SingularMatrixError
+from rkfda.estimate import class_moments, pooled_cov
 from rkfda.kernels import gram, mahalanobis_psi
 from rkfda.select import OracleSource
 from rkfda.simulate import builtin_catalog, gen_model_dataset, standard_grid
@@ -81,6 +80,12 @@ def test_greedy_rejects_small_delta():
     g = make_grid(10, 0, 1)
     with pytest.raises(ValueError):
         greedy_select(_oracle_linear(g), SelectionConfig(d_max=2, delta=0.01))
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), float("inf")])
+def test_delta_must_be_positive_and_finite(delta):
+    with pytest.raises(ValueError):
+        SelectionConfig(d_max=2, delta=delta)
 
 
 def test_delta_counts_grid_steps_on_an_offset_grid():

@@ -17,7 +17,6 @@ from rkfda.simulate import (
     PeakTrend,
     RandomSlopeTrend,
     SmoothedBrownian,
-    SumTrend,
     _generator,
     _spawn_seed_words,
     builtin_catalog,
@@ -32,9 +31,9 @@ from rkfda.simulate import (
 
 
 def test_peak_trend_values():
-    assert trend_eval(PeakTrend(1, 1), 0.5) == pytest.approx(0.5)
-    assert trend_eval(PeakTrend(1, 1), 1.0) == pytest.approx(0.0)
-    assert trend_eval(PeakTrend(2, 1), 0.25) == pytest.approx(math.sqrt(2) / 4)
+    assert trend_eval((PeakTrend(1, 1),), 0.5) == pytest.approx(0.5)
+    assert trend_eval((PeakTrend(1, 1),), 1.0) == pytest.approx(0.0)
+    assert trend_eval((PeakTrend(2, 1),), 0.25) == pytest.approx(math.sqrt(2) / 4)
 
 
 def test_peak_trend_validation():
@@ -46,36 +45,48 @@ def test_peak_trend_validation():
 
 
 def test_hillside_values():
-    h = HillsideTrend(t0=0.5, slope=4.0)
+    h = (HillsideTrend(t0=0.5, slope=4.0),)
     assert trend_eval(h, 0.75) == pytest.approx(1.0)
     assert trend_eval(h, 0.4) == 0.0
 
 
 def test_random_slope_needs_rng():
     with pytest.raises(ValueError):
-        trend_eval(RandomSlopeTrend(sd=5.0), 0.5)
+        trend_eval((LinearTrend(1.0), RandomSlopeTrend(sd=5.0)), 0.5)
     rng = np.random.default_rng(0)
     t = np.array([0.0, 0.5, 1.0])
-    values = trend_realize(RandomSlopeTrend(sd=5.0), t, rng)
+    values = trend_realize((RandomSlopeTrend(sd=5.0),), t, rng)
     # one slope draw, linear in t
     assert values[2] == pytest.approx(2 * values[1])
 
 
 def test_sum_trend():
-    s = SumTrend(terms=(LinearTrend(2.0), HillsideTrend(0.5, 2.0)))
+    s = (LinearTrend(2.0), HillsideTrend(0.5, 2.0))
     assert trend_eval(s, 1.0) == pytest.approx(2.0 + 1.0)
+    assert trend_eval((), 0.5) == 0.0
+    np.testing.assert_array_equal(trend_eval((), np.linspace(0, 1, 5)), np.zeros(5))
+
+
+def test_a_trend_is_a_tuple_of_terms():
+    with pytest.raises(TypeError):
+        simulate.GaussianComponent(BrownianKernel(), LinearTrend(1.0))
+
+
+def test_random_slopes_draw_in_term_order():
+    trend = (RandomSlopeTrend(sd=1.0), LinearTrend(1.0), RandomSlopeTrend(sd=100.0))
+    t = np.array([0.5, 1.0])
+    first, second = np.random.default_rng(3).normal(0.0, [1.0, 100.0])
+    want = first * t + t + second * t
+    np.testing.assert_allclose(trend_realize(trend, t, np.random.default_rng(3)), want, rtol=1e-15)
 
 
 def _deterministic_mean(trend, points):
     """A trend's mean on ``points``: random slopes average to zero."""
-    if isinstance(trend, RandomSlopeTrend):
-        return np.zeros_like(points)
-    if isinstance(trend, SumTrend):
-        total = np.zeros_like(points)
-        for term in trend.terms:
-            total = total + _deterministic_mean(term, points)
-        return total
-    return trend.values(points)
+    total = np.zeros_like(points)
+    for term in trend:
+        if not isinstance(term, RandomSlopeTrend):
+            total = total + term.values(points)
+    return total
 
 
 def _class_mean(law, points):
@@ -99,7 +110,7 @@ def test_peak_derivatives_quadrature_orthonormal():
     # slopes of the triangular bumps form an orthonormal step-function family
     g = make_grid(1000, 0, 1)
     specs = [PeakTrend(1, 1), PeakTrend(2, 1), PeakTrend(2, 2), PeakTrend(3, 2)]
-    derivs = [np.diff(trend_eval(s, g.points)) / g.spacing for s in specs]
+    derivs = [np.diff(trend_eval((s,), g.points)) / g.spacing for s in specs]
     inner = np.array([[(a * b).sum() * g.spacing for b in derivs] for a in derivs])
     np.testing.assert_allclose(inner, np.eye(4), atol=0.02)
 
@@ -222,7 +233,7 @@ def test_catalog_contents():
     logistic = [k for k in cat if k.startswith("L")]
     assert len({k.split("-")[0] for k in logistic}) >= 10
     assert {k.split("-")[1] for k in logistic} == {"B", "OU", "OUt", "sB", "ssB"}
-    assert cat["G8"].class0.components[0].trend.terms[0].shift == 1.25
+    assert cat["G8"].class0.components[0].trend[0].shift == 1.25
     assert cat["TOY"].relevant == (0.25, 0.375, 0.5, 0.75, 1.0)
 
 
@@ -235,6 +246,26 @@ def test_parse_catalog_rejects_garbage():
         parse_catalog("[X]\ntype = logistic\nprocess = B\nlink = 10*Y65\n")
     with pytest.raises(DatasetFormatError):
         parse_catalog("[X]\ntype = warp\nclass0 = B\nclass1 = B\n")
+
+
+def _class0_trend(component):
+    return parse_catalog(f"[X]\nclass0 = {component}\nclass1 = B\n")["X"].class0.components[0].trend
+
+
+def test_a_coefficient_scales_a_random_slope():
+    assert _class0_trend("B + 2*rslope(5)") == (RandomSlopeTrend(sd=10.0),)
+    assert _class0_trend("B - 2*rslope(5)") == (RandomSlopeTrend(sd=10.0),)
+
+
+def test_a_coefficient_scales_a_reciprocal_link_term():
+    model = parse_catalog("[X]\ntype = logistic\nprocess = B\nlink = 2*3/X30 - 10/X40\n")["X"]
+    assert model.terms == (simulate.LinkTerm("recip", 6.0, 30), simulate.LinkTerm("recip", -10.0, 40))
+
+
+def test_a_coefficient_may_have_a_signed_exponent():
+    assert _class0_trend("B + 1e-3*t") == (LinearTrend(0.001),)
+    assert _class0_trend("B - 2.5E+1*t + Phi(1,1)") == (LinearTrend(-25.0), PeakTrend(1, 1))
+    assert _class0_trend("B") == ()
 
 
 def test_unknown_model_id_is_rejected():
@@ -402,15 +433,14 @@ def _oracle_pick(rng, weights):
     return min(idx, len(weights) - 1)
 
 
-def _oracle_trend(spec, points, rng):
-    if isinstance(spec, RandomSlopeTrend):
-        return rng.normal(0.0, spec.sd) * points
-    if isinstance(spec, SumTrend):
-        total = np.zeros_like(points)
-        for term in spec.terms:
-            total = total + _oracle_trend(term, points, rng)
-        return total
-    return spec.values(points)
+def _oracle_trend(trend, points, rng):
+    total = np.zeros_like(points)
+    for term in trend:
+        if isinstance(term, RandomSlopeTrend):
+            total = total + rng.normal(0.0, term.sd) * points
+        else:
+            total = total + term.values(points)
+    return total
 
 
 def _oracle_sampler(spec, grid):
@@ -651,7 +681,7 @@ def test_spawn_labels_must_be_integers_one_per_row_or_one_for_all(labels):
 
 
 def _smoothed_paths(grid, normals):
-    comp = simulate._component(SmoothedBrownian(0.05), simulate.ZeroTrend(), grid)
+    comp = simulate._component(SmoothedBrownian(0.05), (), grid)
     block = normals.copy()
     simulate._process_paths(comp, grid, block, np.zeros(len(block)))
     return block
