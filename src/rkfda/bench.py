@@ -16,23 +16,21 @@ that releases the lock, over the CPUs the process may use and stops them
 before it returns.  The kNN calls of ``plans/full-protocol.ini`` and of
 perfbench's ``protocol`` shape are one or two blocks, and start no thread.
 
-Validation scores every candidate of a method in one pass, with no refit
-per candidate:
+Every method validates and tests through one path, ``_candidates``: its
+candidate values in order and a function that decides with any slice of
+them, one row per candidate, with no refit per candidate:
 
-- RK-C and RK_B-C: ``classify.rkc_decisions`` decides with the rule on
+- RK-C and RK_B-C, d: ``classify.rkc_decisions`` decides with the rule on
   every prefix of the greedy selection from the selection's Cholesky factor;
-- kNN: ``classify.knn_decisions`` votes for the whole k grid from one
-  pass over the squared distances between the validation and training
-  curves;
-- Centroid: ``classify.centroid_decisions`` projects onto every order's
-  contrast in one product.
+- kNN, the k grid up to n: ``classify.knn_decisions`` votes for every k from
+  one pass over the squared distances between the query and training curves;
+- Centroid, the orders the spectrum allows: ``classify.centroid_decisions``
+  projects onto every order's contrast in one product.
 
 The first maximum of the validation accuracy wins, so ties go to the
-smallest d or truncation order and to the earliest k in the grid.  RK-C and
-RK_B-C build no classifier for the test set: its accuracy is row d - 1 of
-``rkc_decisions`` on the test curves, the arithmetic that validated d, so no
-covariance is re-estimated or solved.  kNN and Centroid build only the chosen
-classifier.  A run whose training fails
+smallest d or truncation order and to the earliest k in the grid.  The test
+set is decided by the winner's row alone, the arithmetic that validated it,
+so no classifier is built or refit for it.  A run whose training fails
 (``TrainingError``, e.g. a class with fewer than two curves) is recorded as
 failed for that method and excluded from the averages; any other exception
 is a fault and propagates.
@@ -59,8 +57,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# train_rkc is unused here but stays importable from this module, where
-# perfbench/tracing.py wraps it.
+# error_rate, train_knn and train_rkc are unused here but stay importable
+# from this module, where perfbench/tracing.py wraps them.
 from .classify import (  # noqa: F401
     centroid_classifiers,
     centroid_decisions,
@@ -239,37 +237,39 @@ def _accuracies(decisions: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return 1.0 - np.mean(decisions != labels, axis=1)
 
 
-def _knn_accuracies(train, val, ks) -> np.ndarray:
-    """Validation accuracy of the kNN vote for every k in ``ks``, from one pass over the distances."""
-    return _accuracies(knn_decisions(train.grid, train.curves, train.labels, val.curves, ks), val.labels)
-
-
-def _apply_method(method: str, train, val, test, plan: ExperimentPlan):
-    # np.argmax takes the first maximum, so validation ties go to the first candidate
+def _candidates(method: str, train, plan: ExperimentPlan):
+    """A method's candidate values, in order, and ``decide(curves, chosen)``:
+    one row of decisions on ``curves`` per candidate in ``candidates[chosen]``."""
     if method in ("RK-C", "RK_B-C"):
-        config = SelectionConfig(d_max=plan.d_max)
-        kernel = BrownianKernel() if method == "RK_B-C" else None
-        if kernel is None:
-            selection = greedy_select(train, config)
-        else:
-            selection = greedy_select(oracle_source_from_dataset(train, kernel), config)
-        accs = _accuracies(rkc_decisions(train, selection, val.curves), val.labels)
-        d = int(np.argmax(accs)) + 1
-        test_decisions = rkc_decisions(train, selection, test.curves)[d - 1 : d]
-        return float(_accuracies(test_decisions, test.labels)[0]), float(d)
+        source = train if method == "RK-C" else oracle_source_from_dataset(train, BrownianKernel())
+        selection = greedy_select(source, SelectionConfig(d_max=plan.d_max))
+        ds = range(1, len(selection) + 1)
+        return ds, lambda curves, chosen: rkc_decisions(train, selection, curves)[chosen]
     if method == "kNN":
+        if train.labels.all() or not train.labels.any():  # labels are 0 or 1
+            raise TrainingError("both classes must be present")
         ks = [k for k in plan.k_grid if k <= train.size]
         if not ks:
             raise TrainingError("no admissible hyperparameter value")
-        k = ks[int(np.argmax(_knn_accuracies(train, val, ks)))]
-        return 1.0 - error_rate(train_knn(train, k), test), float(k)
+        return ks, lambda curves, chosen: knn_decisions(
+            train.grid, train.curves, train.labels, curves, ks[chosen]
+        )
     if method == "Centroid":
         built = centroid_classifiers(train, range(1, plan.centroid_r_max + 1), clip=True)
         if not built:
             raise TrainingError("pooled covariance has no usable spectrum")
-        clf = built[int(np.argmax(_accuracies(centroid_decisions(built, val.curves), val.labels)))]
-        return 1.0 - error_rate(clf, test), float(clf.order)
+        orders = [c.order for c in built]
+        return orders, lambda curves, chosen: centroid_decisions(built[chosen], curves)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _apply_method(method: str, train, val, test, plan: ExperimentPlan):
+    """Test accuracy and hyperparameter of the method's first validation maximum."""
+    candidates, decide = _candidates(method, train, plan)
+    # np.argmax takes the first maximum, so validation ties go to the first candidate
+    best = int(np.argmax(_accuracies(decide(val.curves, slice(None)), val.labels)))
+    test_acc = _accuracies(decide(test.curves, slice(best, best + 1)), test.labels)[0]
+    return float(test_acc), float(candidates[best])
 
 
 def _one_run(model: ModelSpec, n: int, run_idx: int, plan: ExperimentPlan, grid: Grid):

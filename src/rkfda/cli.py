@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io
 from .bench import ExperimentPlan, run_experiment, variable_recovery_histogram
-from .classify import train_knn, train_rkc, train_centroid, classify_batch, error_rate
+from .classify import train_knn, train_rkc, train_centroid, classify_batch
 from .core import DatasetFormatError, RkfdaError, make_grid
 from .kernels import (
     BrownianBridgeKernel,
@@ -104,6 +104,8 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     clf = io.read_classifier(args.model)
     dataset = io.read_dataset(args.data)
+    if not clf.grid.same_as(dataset.grid):
+        raise ValueError("test grid differs from the training grid")
     labels = classify_batch(clf, dataset.curves)
     lines = ["index,label"] + [f"{i},{y}" for i, y in enumerate(labels)]
     text = "\n".join(lines) + "\n"
@@ -112,7 +114,7 @@ def _cmd_predict(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    print(f"error_rate {error_rate(clf, dataset):.6f}", file=sys.stderr)
+    print(f"error_rate {np.mean(labels != dataset.labels):.6f}", file=sys.stderr)
     return 0
 
 
@@ -176,16 +178,18 @@ def _int_from(low: int):
     return parse
 
 
-def _float_in(low: float, high: float):
-    """An argparse type: a number strictly inside (low, high), else a usage error."""
+def _float_in(low: float, high: float, closed: bool = False):
+    """An argparse type: a number strictly inside (low, high), or in (low, high]
+    when ``closed``, else a usage error."""
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-        if not low < value < high:
-            raise argparse.ArgumentTypeError(f"must lie in ({low:g}, {high:g}), got {text}")
+        if not (low < value < high or closed and value == high):
+            bracket = "]" if closed else ")"
+            raise argparse.ArgumentTypeError(f"must lie in ({low:g}, {high:g}{bracket}, got {text}")
         return value
 
     return parse
@@ -193,6 +197,9 @@ def _float_in(low: float, high: float):
 
 _probability = _float_in(0.0, 1.0)
 _positive = _float_in(0.0, math.inf)
+_finite = _float_in(-math.inf, math.inf)
+# a kernel norm: an infinite one is the singular limit, with error 0
+_norm = _float_in(0.0, math.inf, closed=True)
 
 
 def _prior(text: str) -> float | None:
@@ -250,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("bayes", help="closed-form optimal error")
-    p.add_argument("--norm", type=float, help="kernel norm of the mean difference")
+    p.add_argument("--norm", type=_norm, help="kernel norm of the mean difference")
     p.add_argument("--kernel")
     p.add_argument("--points")
     p.add_argument("--alphas")
@@ -260,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigen", help="discretized covariance eigensystem")
     p.add_argument("--kernel", required=True)
     p.add_argument("--grid-count", type=_int_from(2), default=100)
-    p.add_argument("--t-min", type=float, default=0.0)
-    p.add_argument("--t-max", type=float, default=1.0)
+    p.add_argument("--t-min", type=_finite, default=0.0)
+    p.add_argument("--t-max", type=_finite, default=1.0)
     p.add_argument("--max-order", type=_int_from(1), default=10)
     p.set_defaults(func=_cmd_eigen)
 
@@ -279,7 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "eigen" and not args.t_min < args.t_max:
+        parser.error(f"argument --t-min: must be below --t-max, got {args.t_min:g} and {args.t_max:g}")
     try:
         return args.func(args)
     except DatasetFormatError as exc:

@@ -46,21 +46,38 @@ __all__ = [
 ]
 
 
+def _require_times_in(kernel, high: float, *times) -> None:
+    """Raise ValueError unless every time lies in [0, high], the kernel's domain.
+
+    Outside it the formula gives no covariance: min(s, t) - s t / T is
+    negative at s = t > T, and min(s, t) at s = t < 0.
+    """
+    if not all(np.all((x >= 0.0) & (x <= high)) for x in times):
+        raise ValueError(f"{type(kernel).__name__} times must lie in [0, {high:g}]")
+
+
 @dataclass(frozen=True)
 class BrownianKernel:
-    """Standard Brownian motion covariance min(s, t)."""
+    """Standard Brownian motion covariance min(s, t), for times t >= 0."""
 
     def pairwise(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        _require_times_in(self, np.inf, s, t)
         return np.minimum(s[:, None], t[None, :])
+
+
+# A bridge accepts times this far past ``t_max``, where a grid's last point
+# may round; the bridge simulator allows the same.
+_BRIDGE_END_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class BrownianBridgeKernel:
-    """Brownian bridge pinned to zero at 0 and at ``t_max``."""
+    """Brownian bridge pinned to zero at 0 and at ``t_max``, for times in [0, t_max]."""
 
     t_max: float = 1.0
 
     def pairwise(self, s, t):
+        _require_times_in(self, self.t_max + _BRIDGE_END_SLACK, s, t)
         return np.minimum(s[:, None], t[None, :]) - s[:, None] * t[None, :] / self.t_max
 
 

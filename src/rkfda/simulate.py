@@ -61,7 +61,7 @@ from typing import Union
 import numpy as np
 
 from .core import DatasetFormatError, Grid, LabeledDataset, make_grid
-from .kernels import BrownianBridgeKernel, BrownianKernel, OrnsteinUhlenbeckKernel
+from .kernels import _BRIDGE_END_SLACK, BrownianBridgeKernel, BrownianKernel, OrnsteinUhlenbeckKernel
 
 __all__ = [
     "LinearTrend",
@@ -266,7 +266,7 @@ def _component(process: ProcessSpec, trend: tuple, grid: Grid) -> _Component:
 
 def _bridge_tail(spec: BrownianBridgeKernel, grid: Grid) -> float:
     """Time from the last grid point to the bridge's endpoint (0 when negligible)."""
-    if grid.points[-1] > spec.t_max + 1e-12:
+    if grid.points[-1] > spec.t_max + _BRIDGE_END_SLACK:
         raise ValueError("grid extends beyond the bridge endpoint")
     tail = spec.t_max - grid.points[-1]
     return tail if tail > 1e-15 else 0.0

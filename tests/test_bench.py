@@ -19,7 +19,7 @@ from rkfda.bench import (
     _accuracies,
     _apply_method,
     _blas_pinned,
-    _knn_accuracies,
+    _candidates,
     _loaded_openblas,
     run_experiment,
     variable_recovery_histogram,
@@ -489,8 +489,10 @@ def _assert_knn_matches_loop(train, val, test, k_grid=DEFAULT_K_GRID):
 
     k_loop, clf_loop = _validated(ks, loop, val)
     loop_accs = [1.0 - error_rate(loop(k), val) for k in ks]
-    np.testing.assert_array_equal(_knn_accuracies(train, val, ks), loop_accs)
     plan = ExperimentPlan(models=("-",), sizes=(train.size,), k_grid=tuple(k_grid))
+    candidates, decide = _candidates("kNN", train, plan)
+    assert candidates == ks
+    np.testing.assert_array_equal(_accuracies(decide(val.curves, slice(None)), val.labels), loop_accs)
     test_acc, k = _apply_method("kNN", train, val, test, plan)
     assert k == k_loop
     assert test_acc == 1.0 - error_rate(clf_loop, test)
@@ -561,6 +563,34 @@ def test_rk_methods_score_the_test_set_without_refitting_or_solving(monkeypatch)
     for method in ("RK-C", "RK_B-C"):
         acc, d = _apply_method(method, train, val, test, plan)
         assert 0.0 <= acc <= 1.0 and 1 <= d <= 5
+
+
+def test_no_method_builds_a_classifier_or_calls_error_rate_for_the_test_set(monkeypatch):
+    import rkfda.bench
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the bench built a kNN classifier or called error_rate")
+
+    for name in ("train_knn", "error_rate"):
+        monkeypatch.setattr(rkfda.bench, name, forbidden)
+    train, val, test = _samples("G4", 50, 100, 100, seed=27)
+    plan = ExperimentPlan(models=("-",), sizes=(train.size,), d_max=5, centroid_r_max=5)
+    for method in METHODS:
+        acc, param = _apply_method(method, train, val, test, plan)
+        assert 0.0 <= acc <= 1.0 and param >= 1
+
+
+def test_a_knn_training_set_of_one_class_is_a_failed_run():
+    train, val, test = _samples("G4", 20, 50, 50, seed=29)
+    one_class = LabeledDataset(grid=train.grid, curves=train.curves, labels=np.zeros(train.size, dtype=int))
+    plan = ExperimentPlan(
+        models=("G4",), sizes=(1,), runs=3, test_size=50, validation_size=20, methods=("kNN",),
+    )
+    with pytest.raises(TrainingError, match="both classes must be present"):
+        _apply_method("kNN", one_class, val, test, plan)
+    # one training curve is one class, and the k grid still admits k = 1
+    entry = run_experiment(plan).entry("G4", 1, "kNN")
+    assert (entry.runs, entry.failed_runs) == (0, 3)
 
 
 def test_one_pass_over_every_method_splits_the_training_set_by_class_once(monkeypatch):

@@ -30,7 +30,7 @@ from rkfda import (
     train_knn,
     train_rkc,
 )
-from rkfda.bench import ExperimentPlan, _apply_method, _knn_accuracies, _model_entropy
+from rkfda.bench import ExperimentPlan, _accuracies, _apply_method, _candidates, _model_entropy
 from rkfda.estimate import class_moments, pooled_cov
 from rkfda.classify import (
     _BLOCK_BYTES,
@@ -355,8 +355,10 @@ def test_validated_k_follows_the_neighbour_tie_rule(seed):
     val = LabeledDataset(grid=train.grid, curves=np.zeros((5, 4)), labels=np.ones(5, dtype=int))
     ks = sorted(expected)
     decided = [expected[k] for k in ks]
-    np.testing.assert_array_equal(_knn_accuracies(train, val, ks), decided)
     plan = ExperimentPlan(models=("-",), sizes=(train.size,), k_grid=tuple(ks))
+    candidates, decide = _candidates("kNN", train, plan)
+    assert candidates == ks
+    np.testing.assert_array_equal(_accuracies(decide(val.curves, slice(None)), val.labels), decided)
     test_acc, k = _apply_method("kNN", train, val, val, plan)
     assert k == ks[int(np.argmax(decided))]
     assert test_acc == expected[k]

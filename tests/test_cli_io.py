@@ -1,7 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from rkfda import LabeledDataset, io, make_grid
+from rkfda import Grid, LabeledDataset, io, make_grid
 from rkfda.bench import HistogramReport, _model_entropy
 from rkfda.classify import rkc_decisions, train_centroid, train_knn, train_rkc
 from rkfda.cli import main
@@ -191,8 +193,15 @@ def test_cli_bayes_expansion(capsys):
     assert capsys.readouterr().out.strip() == "0.308538"
 
 
+def test_cli_bayes_of_an_infinite_norm_is_0(capsys):
+    assert main(["bayes", "--norm", "inf", "--p", "0.3"]) == 0
+    assert capsys.readouterr().out.strip() == "0.000000"
+
+
 def test_cli_bayes_numeric_failure(capsys):
-    assert main(["bayes", "--norm", "-1", "--p", "0.5"]) == 4
+    # repeated expansion points: whether the norm exists depends on the data
+    argv = ["bayes", "--kernel", "brownian", "--points", "0.5,0.5", "--alphas", "1,1", "--p", "0.5"]
+    assert main(argv) == 4
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-1] == "error_code=numeric-failure"
 
@@ -239,10 +248,20 @@ def test_cli_usage_error_ends_with_its_error_code(argv, capsys):
         ["bench", "--plan", "p.ini", "--out", "r.csv", "--hist-model", "G2", "--hist-runs", "0"],
         ["eigen", "--kernel", "brownian", "--max-order", "-1"],
         ["eigen", "--kernel", "brownian", "--max-order", "0"],
+        ["bayes", "--norm", "-1", "--p", "0.5"],
+        ["bayes", "--norm", "0", "--p", "0.5"],
+        ["bayes", "--norm", "nan", "--p", "0.5"],
+        ["eigen", "--kernel", "brownian", "--t-min", "1", "--t-max", "0"],
+        ["eigen", "--kernel", "brownian", "--t-min", "0.5", "--t-max", "0.5"],
+        ["eigen", "--kernel", "brownian", "--t-min", "nan"],
+        ["eigen", "--kernel", "brownian", "--t-max", "inf"],
+        ["eigen", "--kernel", "brownian", "--t-min=-inf"],
     ],
     ids=["n-0", "grid-count-1", "seed-negative", "prior-abc", "prior-1.5", "k-0", "d-max-0", "p-1.5",
          "eigen-grid-count-1", "hist-n-0", "delta-0", "delta-negative", "delta-nan", "delta-inf",
-         "train-delta-inf", "hist-runs-negative", "hist-runs-0", "max-order-negative", "max-order-0"],
+         "train-delta-inf", "hist-runs-negative", "hist-runs-0", "max-order-negative", "max-order-0",
+         "norm-negative", "norm-0", "norm-nan", "t-min-above-t-max", "t-min-at-t-max", "t-min-nan",
+         "t-max-inf", "t-min-minus-inf"],
 )
 def test_cli_out_of_range_option_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -347,6 +366,47 @@ def test_cli_predict_grid_mismatch_is_numeric_failure(tmp_path, capsys):
     assert capsys.readouterr().out.strip().splitlines()[-1] == "error_code=numeric-failure"
 
 
+def _shifted_grid_files(tmp_path, method="knn"):
+    """A model trained on one grid, and a dataset on the same count of times shifted by 0.5."""
+    train_path, ds = _toy_file(tmp_path, n=60, seed=6, name="train.csv", grid_count=20)
+    model_path = tmp_path / "m.txt"
+    assert main(["train", "--data", str(train_path), "--method", method, "--out", str(model_path)]) == 0
+    shifted = LabeledDataset(grid=Grid(ds.grid.points + 0.5), curves=ds.curves, labels=ds.labels)
+    io.write_dataset(shifted, tmp_path / "shifted.csv")
+    return model_path, tmp_path / "shifted.csv"
+
+
+def test_cli_predict_on_a_shifted_grid_writes_nothing(tmp_path, capsys):
+    model_path, data_path = _shifted_grid_files(tmp_path)
+    pred = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(model_path), "--data", str(data_path), "--out", str(pred)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines() == ["error_code=numeric-failure"]
+    assert "test grid differs from the training grid" in captured.err
+    assert not pred.exists()
+
+
+@pytest.mark.parametrize("method,decisions", [("knn", "knn_decisions"), ("centroid", "centroid_decisions")])
+def test_cli_predict_decides_once(tmp_path, capsys, monkeypatch, method, decisions):
+    train_path, ds = _toy_file(tmp_path, n=60, seed=6, name="train.csv", grid_count=20)
+    model_path, pred = tmp_path / "m.txt", tmp_path / "pred.csv"
+    assert main(["train", "--data", str(train_path), "--method", method, "--out", str(model_path)]) == 0
+    # by module path: the package's own ``rkfda.classify`` is the classify function
+    classify_module = importlib.import_module("rkfda.classify")
+    decide, calls = getattr(classify_module, decisions), []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(classify_module, decisions, counted)
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(train_path), "--out", str(pred)]) == 0
+    assert len(calls) == 1
+    labels = np.array([int(line.split(",")[1]) for line in pred.read_text().splitlines()[1:]])
+    assert capsys.readouterr().err == f"error_rate {np.mean(labels != ds.labels):.6f}\n"
+
+
 def test_cli_train_parse_failure_without_points(tmp_path, capsys):
     path, _ = _toy_file(tmp_path)
     code = main(["train", "--data", str(path), "--method", "rkc", "--out", str(tmp_path / "m.txt")])
@@ -446,6 +506,18 @@ def test_cli_dataset_with_a_non_finite_value_is_a_parse_error(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out.strip().splitlines()[-1] == "error_code=parse-error"
     assert "line 2: column 2: curve value nan is not finite" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--kernel", "bridge", "--t-max", "2", "--grid-count", "5"], ["--kernel", "brownian", "--t-min", "-1"]],
+    ids=["bridge-past-its-endpoint", "brownian-before-0"],
+)
+def test_cli_eigen_outside_the_kernels_domain_is_a_numeric_failure(argv, capsys):
+    assert main(["eigen", *argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines()[-1] == "error_code=numeric-failure"
+    assert "times must lie in" in captured.err
 
 
 def test_cli_eigen(capsys):

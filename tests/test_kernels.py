@@ -20,7 +20,7 @@ from rkfda import (
 from rkfda.bench import _model_entropy
 from rkfda.estimate import pooled_cov
 from rkfda.kernels import _solve_lower
-from rkfda.select import SelectionConfig, greedy_select
+from rkfda.select import SelectionConfig, greedy_select, oracle_source
 from rkfda.simulate import builtin_catalog, gen_model_dataset, standard_grid
 
 EPS = np.finfo(float).eps
@@ -295,3 +295,36 @@ def test_discretized_eigen_matches_scipy_eigh(spec, grid, monkeypatch):
     moved = np.max(np.abs(got.eigenfunctions - want.eigenfunctions), axis=1) * math.sqrt(grid.spacing)
     with np.errstate(divide="ignore"):
         assert np.all(moved <= g * EPS * lam[0] / gap)
+
+
+@pytest.mark.parametrize(
+    "kernel,t_min,t_max",
+    [
+        (BrownianKernel(), -1.0, 1.0),
+        (BrownianKernel(), -1e-9, 1.0),
+        (BrownianBridgeKernel(), 0.0, 2.0),
+        (BrownianBridgeKernel(), -0.5, 1.0),
+        (BrownianBridgeKernel(t_max=2.0), 0.0, 2.0 + 1e-9),
+    ],
+    ids=["brownian-negative", "brownian-just-below-0", "bridge-past-t-max", "bridge-negative", "bridge-past-2"],
+)
+def test_kernels_reject_times_outside_their_domain(kernel, t_min, t_max):
+    # outside its domain the formula is no covariance: the bridge's variance
+    # at t = 2 on [0, 1] is -2
+    grid = make_grid(5, t_min, t_max)
+    outside = grid.points[0] if t_min < 0 else grid.points[-1]
+    with pytest.raises(ValueError, match="times must lie in"):
+        kernel_eval(kernel, outside, outside)
+    with pytest.raises(ValueError, match="times must lie in"):
+        gram(kernel, grid.points)
+    with pytest.raises(ValueError, match="times must lie in"):
+        discretized_eigen(kernel, grid)
+    with pytest.raises(ValueError, match="times must lie in"):
+        greedy_select(oracle_source(kernel, grid, np.ones(grid.count)), SelectionConfig(d_max=2))
+
+
+def test_kernels_accept_their_whole_domain():
+    assert kernel_eval(BrownianKernel(), 0.0, 5.0) == 0.0
+    assert kernel_eval(BrownianBridgeKernel(t_max=2.0), 2.0, 2.0) == 0.0
+    # a grid's last point may round just past the bridge's endpoint
+    assert kernel_eval(BrownianBridgeKernel(), 1.0 + 1e-13, 0.5) == pytest.approx(0.0, abs=1e-12)
