@@ -12,15 +12,21 @@ scan serves :func:`rkc_decisions`, on every prefix of a selection, and
 :func:`train_rkc`, scanning given points.  ``KNNClassifier`` votes among the
 k nearest training curves in the quadrature-scaled Euclidean metric; an
 exact distance tie at the k-th place goes to the smaller training index.
-:func:`knn_decisions` gives the votes of a whole k grid from squared
-distances ``||x||^2 + ||y||^2 - 2 x . y``, one matrix product per
-cache-sized block of query rows (a call of at least two blocks per worker
-spreads them over the CPUs the process may use), and a screen: a row whose
-k-th and (k+1)-th squared distances lie further apart than twice a rounding
-bound tau has a certain neighbour set, and every other row (exact and near
-ties) goes to the exact rule, one stable sort of its distances summed in
-grid order, bit for bit those of ``scipy.spatial.distance.cdist`` (the
-tests' oracle), without scipy.  Training and query curves must be finite.
+:func:`knn_decisions` gives the votes of a whole k grid from two order
+statistics per k: with j = k // 2 + 1 the vote is 1 exactly when the j-th
+nearest class-1 curve ranks before the (k - j + 1)-th nearest class-0
+curve.  Squared distances less the row constant ``||x||^2`` come from one
+matrix product per cache-sized block of query rows (a call of at least two
+blocks per worker spreads them over the CPUs the process may use), whose
+class halves are partitioned in place, values only.  A row whose two
+statistics lie further apart than twice a rounding bound tau at every k is
+decided: an order statistic moves by at most the largest rounding error, so
+the exact rule compares the two curves the same way.  These rows include
+all those whose k-th and (k+1)-th distances lie that far apart.  Every
+other row (exact and near ties) goes to the exact rule, one stable sort of
+its distances summed in grid order, bit for bit those of
+``scipy.spatial.distance.cdist`` (the tests' oracle), without scipy.
+Training and query curves must be finite, and training labels 0 or 1.
 ``CentroidClassifier`` projects a curve onto a truncated eigenbasis contrast
 and assigns the class whose projected centroid is closer;
 :func:`centroid_decisions` decides for several truncation orders from one
@@ -45,6 +51,7 @@ from .core import (
     SelectionResult,
     TrainingError,
     _frozen_array,
+    _gather_by_class,
     class_prior,
 )
 # class_moments, pooled_cov, discretized_eigen, gram and solve_spd are unused
@@ -105,7 +112,8 @@ class KNNClassifier:
 
     Neighbours rank by (distance, training index): an exact distance tie at
     the k-th place goes to the training curve with the smaller index.  A
-    tied vote (even k) goes to label 0.  Training curves must be finite.
+    tied vote (even k) goes to label 0.  Training curves must be finite and
+    labels 0 or 1.
     See :func:`knn_decisions`.
     """
 
@@ -118,6 +126,7 @@ class KNNClassifier:
         object.__setattr__(self, "train_curves", _frozen_array(self.train_curves))
         object.__setattr__(self, "train_labels", _frozen_array(self.train_labels, dtype=int))
         _check_finite(self.train_curves)
+        _check_binary(self.train_labels)
         n = self.train_curves.shape[0]
         if not 1 <= self.k <= n:
             raise ValueError("k must lie in [1, n]")
@@ -225,6 +234,11 @@ def _check_finite(values) -> None:
         raise ValueError("curve values must be finite")
 
 
+def _check_binary(labels) -> None:
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be 0 or 1")
+
+
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -240,18 +254,30 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
     vote of the ``ks[i]`` nearest training curves, label 1 when more than
     half of them are 1.  The decisions are those of the exact rule,
     :func:`_knn_decisions_exact`, which ranks exact distances by one
-    stable sort, bit for bit; non-finite curves raise ValueError.
+    stable sort, bit for bit; non-finite curves and labels other than 0 and
+    1 raise ValueError.
+
+    The vote from two order statistics.  With j = k // 2 + 1, the vote at k
+    is 1 exactly when at least j of the k nearest curves are of class 1, that
+    is when the j-th nearest class-1 curve ranks before the (k - j + 1)-th
+    nearest class-0 curve: of these two curves one is among the k nearest
+    and the other is not.  A class with fewer curves than its statistic
+    needs decides by count alone: j > n1 gives 0, and k - j + 1 > n0 gives 1
+    (both cannot happen, as k <= n).
 
     On the sqrt(dt)-scaled query curves x_i and training curves y_j the
     squared distances are ``F_ij = ||x_i||^2 + ||y_j||^2 - 2 x_i . y_j``.
-    The training side (the scaled curves, their squared norms and the largest
-    of them) is prepared once per call; the query curves are taken in blocks
-    of ``_BLOCK_BYTES // (8 n)`` rows, so that a block's F fits in cache.
-    For each block one matrix product gives F and one partial sort keeps the
-    ``max(ks) + 1`` smallest of each row.  The vote at k depends only on the
-    set of the k nearest curves, not on their order, so a row is decided
-    here when, at every k in ``ks`` below n, the gap between its k-th and
-    (k+1)-th smallest F exceeds ``2 tau_i``, with
+    The training side is prepared once per call as one array: the curves,
+    class 0 first, scaled, their squared norms and the largest of them taken,
+    and then multiplied by -2.  The query curves are taken in blocks of
+    ``_BLOCK_BYTES // (8 n)`` rows, so that a block's distances fit in cache.
+    For each block one matrix product gives ``F - ||x_i||^2``: a row
+    constant moves no order statistic and no difference.  The class-0 and
+    class-1 halves of each row are partitioned in place, values only, and the
+    few smallest of each kept and sorted: ``max(k - k // 2)`` of class 0 and
+    ``max(k // 2) + 1`` of class 1, each at most the class size.  A row is
+    decided here when its kept values are finite and, at every k in ``ks``
+    at which both statistics exist, they differ by more than ``2 tau_i``, with
 
         tau_i = 8 (G + 4) (eps M_i + eta),   M_i = ||x_i||^2 + max_j ||y_j||^2,
 
@@ -259,33 +285,40 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
     smallest subnormal.  Every other row, from any block, exact and near ties
     included, goes once through the exact rule.
 
-    Why the gap makes the set certain.  Let D be the exact squared distance
+    Why the margin fixes the comparison.  Let D be the exact squared distance
     of the scaled curves, so D <= (||x|| + ||y||)^2 <= 2M.  To first order
     in u, and with eta covering underflow:
 
     - the product: ``||x||^2``, ``||y||^2`` and ``x . y`` are sums of G
       products, each within gamma_G ~ Gu of its magnitude in any summation
-      order, BLAS blocking and threading included; the two additions that
-      form F add u each on terms summing to at most 2M.  So
-      |F - D| <= (2G + 4) u M;
+      order, BLAS blocking and threading included; scaling by -2 is exact,
+      and the addition of ``||y||^2`` adds u on terms summing to at most 2M.
+      So the computed value is within (2G + 4) u M of ``D - ||x||^2``;
     - the exact rule sums G rounded squares of rounded differences, so its
       squared distance S obeys |S - D| <= (G + 2) u D <= 2 (G + 2) u M;
     - the exact rule ranks by ``sqrt(S)`` rounded, which can merge two
       values of S, sending them to the index rule, only when they differ by
       less than about 4u S <= 8u M.
 
-    Take j among the k smallest F and l outside them.  Then F_l - F_j >
-    2 tau_i, so S_l - S_j > 2 tau_i - 2 (2G + 4) u M - 4 (G + 2) u M, which
-    exceeds 8u M for tau_i >= (4G + 12) u M; the bound above is more than
-    four times that.  The exact rule then ranks j strictly before l, whatever
-    the index order, and both rules vote with the same set.  The bounds hold
-    only without overflow, so a row whose kept F or tau are not all finite
-    falls back too.  The proof holds block by block: each row's product is
-    one row of the full product, summed in whatever order the block's GEMM
-    chooses, which the bound covers, and M_i takes the largest norm over all
-    training curves, not over a block.
+    An order statistic of a set of values moves by at most the largest
+    entrywise error.  So when the two computed statistics differ by more than
+    2 tau_i, the same two statistics of S differ by more than
+    2 tau_i - 2 (2G + 4) u M - 4 (G + 2) u M, which exceeds 8u M for
+    tau_i >= (4G + 12) u M; the bound above is more than four times that.
+    The exact rule then ranks its j-th class-1 curve and its (k - j + 1)-th
+    class-0 curve strictly the same way, whatever the index order, and both
+    rules vote alike.  The bounds hold only without overflow, so a row whose
+    kept values or tau are not all finite falls back too.  The proof holds
+    block by block: each row's product is one row of the full product, summed
+    in whatever order the block's GEMM chooses, which the bound covers, and
+    M_i takes the largest norm over all training curves, not over a block.
 
-    The product and the partial sort release the interpreter lock, so a call
+    The rows decided here include every row whose k-th and (k+1)-th
+    smallest distances lie more than ``2 tau_i`` apart at every k: of the
+    two curves compared one lies among the k nearest and the other does
+    not, so such a gap separates them.
+
+    The product and the partition release the interpreter lock, so a call
     of b blocks deals them round-robin to ``min(b // 2, cpus)`` workers, cpus
     being the CPUs this process may run on (``os.sched_getaffinity``): the
     calling thread takes one share and a thread pool made for the call takes
@@ -304,16 +337,24 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
     train_curves = np.asarray(train_curves, dtype=float)
     _check_finite(curves)
     _check_finite(train_curves)
-    k_max = int(ks.max())
-    m = min(k_max + 1, n)
-    gap_at = ks[ks < n] - 1
+    _check_binary(train_labels)
+    y, n0 = _gather_by_class(train_curves, train_labels)
+    n1 = n - n0
+    rank1 = ks // 2 + 1  # j, the rank of the class-1 statistic
+    rank0 = ks - ks // 2  # k - j + 1, the rank of the class-0 statistic
+    both = (rank1 <= n1) & (rank0 <= n0)  # the ks that compare two statistics
+    at0, at1 = rank0[both] - 1, rank1[both] - 1
+    keep0 = min(int(rank0.max()), n0)
+    keep1 = min(int(rank1.max()), n1)
     scale = math.sqrt(grid.spacing)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the screen
-        y = train_curves * scale
+        y *= scale
         yy = np.einsum("ij,ij->i", y, y)
         yy_max = yy.max()
+        y *= -2.0
     queries = curves.shape[0]
     out = np.empty((ks.size, queries), dtype=int)
+    out[:] = (rank1 <= n1)[:, None]  # the votes that a class too small decides by count
     sure = np.empty(queries, dtype=bool)
 
     def screen(blocks):
@@ -323,19 +364,17 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
                 x = curves[rows] * scale
                 xx = np.einsum("ij,ij->i", x, x)
                 d2 = x @ y.T
-                d2 *= -2.0
-                d2 += xx[:, None]
                 d2 += yy
-                near = np.argpartition(d2, m - 1, axis=1)[:, :m]
-                near_d2 = np.take_along_axis(d2, near, axis=1)
-                order = np.argsort(near_d2, axis=1)
-                near = np.take_along_axis(near, order, axis=1)
-                near_d2 = np.take_along_axis(near_d2, order, axis=1)
-                gaps = np.diff(near_d2, axis=1)[:, gap_at]
+                near0 = _smallest(d2[:, :n0], keep0)
+                near1 = _smallest(d2[:, n0:], keep1)
+                stat0, stat1 = near0[:, at0], near1[:, at1]
                 tau = 8 * (grid.count + 4) * (_EPS * (xx + yy_max) + _TINY)
-                sure[rows] = np.isfinite(near_d2).all(axis=1) & np.all(gaps > 2 * tau[:, None], axis=1)
-                cum = np.cumsum(train_labels[near[:, :k_max]], axis=1)
-                out[:, rows] = cum[:, ks - 1].T * 2 > ks[:, None]
+                sure[rows] = (
+                    np.isfinite(near0).all(axis=1)
+                    & np.isfinite(near1).all(axis=1)
+                    & np.all(np.abs(stat1 - stat0) > 2 * tau[:, None], axis=1)
+                )
+                out[both, rows] = (stat1 < stat0).T
 
     step = max(1, _BLOCK_BYTES // (8 * n))
     blocks = [slice(start, start + step) for start in range(0, queries, step)]
@@ -354,6 +393,16 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
     if unsure.size:
         out[:, unsure] = _knn_decisions_exact(grid, train_curves, train_labels, curves[unsure], ks)
     return out
+
+
+def _smallest(d2: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` smallest values of each row of ``d2``, sorted, as a view of
+    its first columns; partitions and sorts ``d2`` in place."""
+    if count < d2.shape[1]:
+        d2.partition(count - 1, axis=1)
+    near = d2[:, :count]
+    near.sort(axis=1)
+    return near
 
 
 def _knn_decisions_exact(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndarray:

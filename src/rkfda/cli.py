@@ -48,10 +48,6 @@ def _parse_kernel(text: str):
     raise DatasetFormatError(f"unknown kernel {text!r} (use brownian|bridge|ou|ou:theta,sigma2)")
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.replace(",", " ").split()]
-
-
 def _catalog(args):
     return load_catalog(args.catalog) if getattr(args, "catalog", None) else builtin_catalog()
 
@@ -85,7 +81,7 @@ def _cmd_train(args) -> int:
     if args.method == "rkc":
         kernel = _parse_kernel(args.kernel) if args.kernel else None
         if args.points:
-            points = _floats(args.points)
+            points = args.points
         elif args.d_max:
             config = SelectionConfig(d_max=args.d_max, delta=args.delta)
             source = oracle_source_from_dataset(dataset, kernel) if kernel else dataset
@@ -124,8 +120,8 @@ def _cmd_bayes(args) -> int:
     elif args.points and args.alphas and args.kernel:
         mean = FiniteExpansionMean(
             kernel=_parse_kernel(args.kernel),
-            points=np.array(_floats(args.points)),
-            alphas=np.array(_floats(args.alphas)),
+            points=np.array(args.points),
+            alphas=np.array(args.alphas),
         )
         norm = math.sqrt(rkhs_norm_sq(mean))
     else:
@@ -202,6 +198,15 @@ _finite = _float_in(-math.inf, math.inf)
 _norm = _float_in(0.0, math.inf, closed=True)
 
 
+def _finite_list(text: str) -> list[float]:
+    """An argparse type: one or more finite numbers, separated by commas or
+    spaces, else a usage error."""
+    values = [_finite(item) for item in text.replace(",", " ").split()]
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one number")
+    return values
+
+
 def _prior(text: str) -> float | None:
     """``--prior``: a probability in (0, 1), or 'estimated' for the class-1 fraction."""
     return None if text == "estimated" else _probability(text)
@@ -240,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit and persist a classifier")
     p.add_argument("--data", required=True)
     p.add_argument("--method", choices=("rkc", "knn", "centroid"), required=True)
-    p.add_argument("--points", help="comma-separated grid times for rkc")
+    p.add_argument("--points", type=_finite_list, help="comma-separated grid times for rkc")
     p.add_argument("--d-max", type=_int_from(1), help="run greedy selection first (rkc)")
     p.add_argument("--delta", type=_positive)
     p.add_argument("--kernel", help="analytic covariance for oracle rkc")
@@ -259,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bayes", help="closed-form optimal error")
     p.add_argument("--norm", type=_norm, help="kernel norm of the mean difference")
     p.add_argument("--kernel")
-    p.add_argument("--points")
-    p.add_argument("--alphas")
+    p.add_argument("--points", type=_finite_list)
+    p.add_argument("--alphas", type=_finite_list)
     p.add_argument("--p", type=_probability, default=0.5)
     p.set_defaults(func=_cmd_bayes)
 

@@ -24,6 +24,7 @@ of a second of start-up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -56,6 +57,13 @@ def _require_times_in(kernel, high: float, *times) -> None:
         raise ValueError(f"{type(kernel).__name__} times must lie in [0, {high:g}]")
 
 
+def _require_finite_positive(**params) -> None:
+    """Raise ValueError unless every parameter is a finite positive number;
+    NaN fails too, where a ``<= 0`` test would let it through."""
+    if not all(math.isfinite(v) and v > 0 for v in params.values()):
+        raise ValueError(f"{' and '.join(params)} must be finite and positive")
+
+
 @dataclass(frozen=True)
 class BrownianKernel:
     """Standard Brownian motion covariance min(s, t), for times t >= 0."""
@@ -76,6 +84,9 @@ class BrownianBridgeKernel:
 
     t_max: float = 1.0
 
+    def __post_init__(self):
+        _require_finite_positive(t_max=self.t_max)
+
     def pairwise(self, s, t):
         _require_times_in(self, self.t_max + _BRIDGE_END_SLACK, s, t)
         return np.minimum(s[:, None], t[None, :]) - s[:, None] * t[None, :] / self.t_max
@@ -89,8 +100,7 @@ class OrnsteinUhlenbeckKernel:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if self.theta <= 0 or self.sigma2 <= 0:
-            raise ValueError("theta and sigma2 must be positive")
+        _require_finite_positive(theta=self.theta, sigma2=self.sigma2)
 
     def pairwise(self, s, t):
         return self.sigma2 * np.exp(-self.theta * np.abs(s[:, None] - t[None, :]))

@@ -61,7 +61,13 @@ from typing import Union
 import numpy as np
 
 from .core import DatasetFormatError, Grid, LabeledDataset, make_grid
-from .kernels import _BRIDGE_END_SLACK, BrownianBridgeKernel, BrownianKernel, OrnsteinUhlenbeckKernel
+from .kernels import (
+    _BRIDGE_END_SLACK,
+    BrownianBridgeKernel,
+    BrownianKernel,
+    OrnsteinUhlenbeckKernel,
+    _require_finite_positive,
+)
 
 __all__ = [
     "LinearTrend",
@@ -205,8 +211,7 @@ class SmoothedBrownian:
     bandwidth: float
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        _require_finite_positive(bandwidth=self.bandwidth)
 
 
 ProcessSpec = Union[BrownianKernel, BrownianBridgeKernel, OrnsteinUhlenbeckKernel, SmoothedBrownian]

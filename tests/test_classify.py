@@ -1,4 +1,5 @@
 import ast
+import collections
 import concurrent.futures
 import importlib
 import json
@@ -34,8 +35,12 @@ from rkfda.bench import ExperimentPlan, _accuracies, _apply_method, _candidates,
 from rkfda.estimate import class_moments, pooled_cov
 from rkfda.classify import (
     _BLOCK_BYTES,
+    _EPS,
+    _TINY,
     CentroidClassifier,
     KNNClassifier,
+    _check_finite,
+    _cpus,
     _knn_decisions_exact,
     _rkc_moments,
     centroid_classifiers,
@@ -414,13 +419,111 @@ def _assert_screen_is_exact(grid, train_curves, train_labels, curves, ks):
     return got
 
 
+# The screen as it stood before the order-statistic rule replaced it, kept
+# as the oracle of that replacement.  It calls the exact rule through its
+# module, so that the fallback_rows fixture sees its fallbacks too.
+_classify_module = importlib.import_module("rkfda.classify")
+
+
+def _knn_decisions_gap_screen(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndarray:
+    """kNN decisions for every k in ``ks``, screened by the gap at k.
+
+    Same arguments and result as :func:`knn_decisions`.  A row is decided
+    here when, at every k in ``ks`` below n, its k-th and (k+1)-th smallest
+    squared distances ``||x||^2 + ||y||^2 - 2 x . y`` lie more than twice the
+    rounding bound tau apart, with the votes from a cumulative sum of the
+    labels of the nearest curves; every other row goes to the exact rule.
+    """
+    ks = np.asarray(ks, dtype=int)
+    train_labels = np.asarray(train_labels)
+    n = train_labels.size
+    if ks.size == 0 or ks.min() < 1 or ks.max() > n:
+        raise ValueError("k must lie in [1, n]")
+    curves = np.asarray(curves, dtype=float)
+    train_curves = np.asarray(train_curves, dtype=float)
+    _check_finite(curves)
+    _check_finite(train_curves)
+    k_max = int(ks.max())
+    m = min(k_max + 1, n)
+    gap_at = ks[ks < n] - 1
+    scale = math.sqrt(grid.spacing)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the screen
+        y = train_curves * scale
+        yy = np.einsum("ij,ij->i", y, y)
+        yy_max = yy.max()
+    queries = curves.shape[0]
+    out = np.empty((ks.size, queries), dtype=int)
+    sure = np.empty(queries, dtype=bool)
+
+    def screen(blocks):
+        # numpy's error state is per thread: set it in the thread that computes
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in blocks:
+                x = curves[rows] * scale
+                xx = np.einsum("ij,ij->i", x, x)
+                d2 = x @ y.T
+                d2 *= -2.0
+                d2 += xx[:, None]
+                d2 += yy
+                near = np.argpartition(d2, m - 1, axis=1)[:, :m]
+                near_d2 = np.take_along_axis(d2, near, axis=1)
+                order = np.argsort(near_d2, axis=1)
+                near = np.take_along_axis(near, order, axis=1)
+                near_d2 = np.take_along_axis(near_d2, order, axis=1)
+                gaps = np.diff(near_d2, axis=1)[:, gap_at]
+                tau = 8 * (grid.count + 4) * (_EPS * (xx + yy_max) + _TINY)
+                sure[rows] = np.isfinite(near_d2).all(axis=1) & np.all(gaps > 2 * tau[:, None], axis=1)
+                cum = np.cumsum(train_labels[near[:, :k_max]], axis=1)
+                out[:, rows] = cum[:, ks - 1].T * 2 > ks[:, None]
+
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    blocks = [slice(start, start + step) for start in range(0, queries, step)]
+    workers = min(len(blocks) // 2, _cpus())
+    if workers > 1:
+        from concurrent import futures  # it and the logging it imports: 0.7 MB
+
+        with futures.ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            helpers = [pool.submit(screen, blocks[w::workers]) for w in range(1, workers)]
+            screen(blocks[::workers])
+            for helper in helpers:
+                helper.result()
+    else:
+        screen(blocks)
+    unsure = np.flatnonzero(~sure)
+    if unsure.size:
+        out[:, unsure] = _classify_module._knn_decisions_exact(grid, train_curves, train_labels, curves[unsure], ks)
+    return out
+
+
+def _sent(fallback_rows, decide, *args):
+    """``decide(*args)`` and the multiset of query rows that it sends to the exact rule."""
+    start = len(fallback_rows)
+    got = decide(*args)
+    return got, collections.Counter(row.tobytes() for rows in fallback_rows[start:] for row in rows)
+
+
+def _assert_fallbacks_are_a_subset(fallback_rows, grid, train_curves, train_labels, curves, ks):
+    """The screen decides like the exact rule and the gap screen, and every row it
+    sends to the exact rule the gap screen sends too.  Returns the decisions and
+    the rows that the screen and the gap screen send back."""
+    args = (grid, train_curves, train_labels, curves, ks)
+    got, sent = _sent(fallback_rows, knn_decisions, *args)
+    want, sent_before = _sent(fallback_rows, _knn_decisions_gap_screen, *args)
+    np.testing.assert_array_equal(got, _knn_decisions_cdist(*args))
+    np.testing.assert_array_equal(got, want)
+    assert not sent - sent_before
+    return got, sent, sent_before
+
+
 @pytest.mark.parametrize("n", [50, 1000])
 def test_knn_screen_matches_the_exact_rule_on_the_catalog(n):
     grid = standard_grid(100)
     for model_id, model in sorted(builtin_catalog().items()):
         train = gen_model_dataset(model, n, grid, (31, n, 0))
         query = gen_model_dataset(model, 500, grid, (31, n, 1))
-        _assert_screen_is_exact(grid, train.curves, train.labels, query.curves, ODD_KS)
+        args = (grid, train.curves, train.labels, query.curves, ODD_KS)
+        got = _assert_screen_is_exact(*args)
+        np.testing.assert_array_equal(got, _knn_decisions_gap_screen(*args), err_msg=model_id)
 
 
 @pytest.mark.parametrize("model_id", ["G4", "L1-B"])
@@ -429,7 +532,8 @@ def test_knn_screen_matches_the_exact_rule_on_a_dense_grid(model_id):
     model = builtin_catalog()[model_id]
     train = gen_model_dataset(model, 1000, grid, (32, 0))
     query = gen_model_dataset(model, 500, grid, (32, 1))
-    _assert_screen_is_exact(grid, train.curves, train.labels, query.curves, ODD_KS)
+    args = (grid, train.curves, train.labels, query.curves, ODD_KS)
+    np.testing.assert_array_equal(_assert_screen_is_exact(*args), _knn_decisions_gap_screen(*args))
 
 
 def _pairs(rng, twin, n_pairs=40, count=8):
@@ -549,8 +653,50 @@ def test_knn_screen_falls_back_under_underflow_and_overflow(scale, fallback_rows
     curves = rng.normal(size=(60, 8)) * scale
     labels = rng.integers(0, 2, size=60)
     query = rng.normal(size=(100, 8)) * scale
-    _assert_screen_is_exact(grid, curves, labels, query, ODD_KS)
-    assert sum(map(len, fallback_rows)) == len(query)
+    _, sent, _ = _assert_fallbacks_are_a_subset(fallback_rows, grid, curves, labels, query, ODD_KS)
+    assert sent
+
+
+def _catalog_case(n, seed):
+    grid = standard_grid(100)
+    model = builtin_catalog()["L1-B"]
+    train = gen_model_dataset(model, n, grid, (seed, 0))
+    return grid, train.curves, train.labels, gen_model_dataset(model, 300, grid, (seed, 1)).curves
+
+
+@pytest.mark.parametrize(
+    "ks", [list(range(2, 21, 2)), [2, 4], [50], [1, 49, 50], list(range(1, 51))], ids=["even", "2-4", "n", "1-n", "all"]
+)
+def test_knn_screen_with_even_ks_and_k_equal_to_n(ks, fallback_rows):
+    # an even k's vote compares the (k/2 + 1)-th class-1 curve with the
+    # (k/2)-th class-0 curve; k = n compares the last ones of both classes
+    _assert_fallbacks_are_a_subset(fallback_rows, *_catalog_case(50, 46), ks)
+
+
+def test_knn_screen_decides_by_count_when_class_1_is_too_small(fallback_rows):
+    # 3 class-1 curves of 50, each with an exact twin, so distances tie in
+    # every row: from k = 7 on, j = k // 2 + 1 exceeds 3 and the vote is 0
+    # by count alone, with no row sent to the exact rule
+    rng = np.random.default_rng(47)
+    grid = make_grid(8, 0, 1)
+    base = rng.normal(size=(25, 8))
+    curves = np.vstack([base, base])
+    labels = np.zeros(50, dtype=int)
+    labels[[3, 28, 40]] = 1
+    query = rng.normal(size=(100, 8))
+    ks = list(range(7, 22, 2))
+    got = _assert_screen_is_exact(grid, curves, labels, query, ks)
+    assert not got.any()
+    assert fallback_rows == []
+    _assert_fallbacks_are_a_subset(fallback_rows, grid, curves, labels, query, [1, 3, 5, 21])
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_knn_screen_on_a_one_class_training_set(label, fallback_rows):
+    grid, curves, _, query = _catalog_case(50, 48)
+    labels = np.full(50, label)
+    got, _, _ = _assert_fallbacks_are_a_subset(fallback_rows, grid, curves, labels, query, ODD_KS + [50])
+    assert np.all(got == label)
 
 
 @pytest.mark.parametrize("n", [20, 21])
@@ -695,6 +841,23 @@ def _tie_cases():
 
 
 @pytest.mark.parametrize("case", list(_tie_cases()), ids=lambda case: case[0])
+@pytest.mark.parametrize("ks", [ODD_KS, [2, 4], None], ids=["odd", "even", "n"])
+def test_knn_screen_sends_a_subset_of_the_gap_screens_rows_on_ties(case, ks, fallback_rows):
+    _, grid, curves, labels, query = case
+    _assert_fallbacks_are_a_subset(fallback_rows, grid, curves, labels, query, ks or [len(curves)])
+
+
+@pytest.mark.parametrize("ks", [ODD_KS, [2, 4]], ids=["odd", "even"])
+def test_knn_screen_decides_integer_ties_that_the_gap_screen_sends_back(ks, fallback_rows):
+    # integer-valued curves tie in many distances: the gap screen sends back
+    # every row with a tie between its k-th and (k+1)-th distances, the screen
+    # only those whose two compared order statistics (nearly) tie
+    (_, grid, curves, labels, query), = (case for case in _tie_cases() if case[0] == "integers")
+    _, sent, sent_before = _assert_fallbacks_are_a_subset(fallback_rows, grid, curves, labels, query, ks)
+    assert sum(sent.values()) < sum(sent_before.values())
+
+
+@pytest.mark.parametrize("case", list(_tie_cases()), ids=lambda case: case[0])
 def test_knn_exact_rule_matches_the_partitioned_rule_on_ties(case):
     _, grid, curves, labels, query = case
     for ks in (ODD_KS, list(range(1, len(curves) + 1)), [len(curves)]):
@@ -767,6 +930,15 @@ def test_knn_training_curves_must_be_finite():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             KNNClassifier(grid=g, train_curves=[[0.0, 1.0], [bad, 0.0]], train_labels=[0, 1], k=1)
+
+
+def test_knn_training_labels_must_be_0_or_1():
+    g = make_grid(2, 0, 1)
+    curves = [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        KNNClassifier(grid=g, train_curves=curves, train_labels=[0, 1, 2], k=1)
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        knn_decisions(g, curves, [0, 1, 2], np.zeros((1, 2)), [1])
 
 
 def test_query_curves_must_be_finite():

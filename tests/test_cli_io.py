@@ -157,6 +157,19 @@ def test_read_classifier_rejects_a_non_finite_knn_curve(tmp_path, bad):
         io.read_classifier(model)
 
 
+@pytest.mark.parametrize("bad", ["2", "-1"])
+def test_read_classifier_rejects_a_knn_label_other_than_0_or_1(tmp_path, bad):
+    # the kNN screen counts the class-1 curves, the exact rule sums labels:
+    # only 0 and 1 make the two agree
+    model, _ = _knn_file_with_a_bad_curve(tmp_path, "0")
+    lines = model.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("labels "))
+    lines[i] = " ".join(["labels", bad] + lines[i].split()[2:])
+    model.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match="labels must be 0 or 1"):
+        io.read_classifier(model)
+
+
 def test_cli_predict_with_a_non_finite_knn_curve_is_a_parse_error(tmp_path, capsys):
     model, data = _knn_file_with_a_bad_curve(tmp_path, "nan")
     capsys.readouterr()
@@ -256,12 +269,19 @@ def test_cli_usage_error_ends_with_its_error_code(argv, capsys):
         ["eigen", "--kernel", "brownian", "--t-min", "nan"],
         ["eigen", "--kernel", "brownian", "--t-max", "inf"],
         ["eigen", "--kernel", "brownian", "--t-min=-inf"],
+        ["train", "--data", "d.csv", "--method", "rkc", "--points", "abc", "--out", "m.txt"],
+        ["train", "--data", "d.csv", "--method", "rkc", "--points", "0.5,nan", "--out", "m.txt"],
+        ["train", "--data", "d.csv", "--method", "rkc", "--points", ",", "--out", "m.txt"],
+        ["bayes", "--kernel", "brownian", "--points", "a", "--alphas", "1"],
+        ["bayes", "--kernel", "brownian", "--points", "0.5", "--alphas", "nan"],
+        ["bayes", "--kernel", "brownian", "--points", "0.5", "--alphas", "inf"],
     ],
     ids=["n-0", "grid-count-1", "seed-negative", "prior-abc", "prior-1.5", "k-0", "d-max-0", "p-1.5",
          "eigen-grid-count-1", "hist-n-0", "delta-0", "delta-negative", "delta-nan", "delta-inf",
          "train-delta-inf", "hist-runs-negative", "hist-runs-0", "max-order-negative", "max-order-0",
          "norm-negative", "norm-0", "norm-nan", "t-min-above-t-max", "t-min-at-t-max", "t-min-nan",
-         "t-max-inf", "t-min-minus-inf"],
+         "t-max-inf", "t-min-minus-inf", "points-abc", "points-nan", "points-empty", "bayes-points-a",
+         "alphas-nan", "alphas-inf"],
 )
 def test_cli_out_of_range_option_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -469,10 +489,13 @@ def test_cli_dataset_parse_failure(tmp_path, capsys):
         ("[X]\nclass0 = B\nclass1 = 1*B + t\n", "class1"),
         ("[X]\nclass0 = B + Phi(1,1\nclass1 = B\n", "class0"),
         ("[X]\ntype = logistic\nprocess = B\nlink = X1) + X2\n", "link"),
+        ("[X]\nclass0 = OU(1e999, 1)\nclass1 = B\n", "class0"),
+        ("[X]\nclass0 = B\nclass1 = OU(1, 1e999)\n", "class1"),
+        ("[X]\ntype = logistic\nprocess = sB(1e999)\nlink = X1\n", "process"),
     ],
     ids=["no-class1", "no-process", "weight-1/0", "prior-1/0", "prior-1.5", "reference-abc", "level-overflow",
          "relevant-abc", "process-negated", "process-coefficient", "process-unit-coefficient",
-         "unclosed-parenthesis", "unopened-parenthesis"],
+         "unclosed-parenthesis", "unopened-parenthesis", "ou-theta-inf", "ou-sigma2-inf", "sb-inf"],
 )
 def test_cli_simulate_with_a_malformed_catalog_is_a_parse_error(tmp_path, capsys, catalog, key):
     path = tmp_path / "bad.catalog"
@@ -485,7 +508,9 @@ def test_cli_simulate_with_a_malformed_catalog_is_a_parse_error(tmp_path, capsys
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("kernel", ["ou:1", "ou:a,b", "ou:1,2,3", "ou:-1,1", "matern"])
+@pytest.mark.parametrize(
+    "kernel", ["ou:1", "ou:a,b", "ou:1,2,3", "ou:-1,1", "matern", "ou:inf,1", "ou:1,nan", "ou:nan,1", "ou:1,inf"]
+)
 def test_cli_malformed_kernel_is_a_parse_error(kernel, capsys):
     assert main(["eigen", "--kernel", kernel, "--grid-count", "5"]) == 3
     assert capsys.readouterr().out.strip().splitlines()[-1] == "error_code=parse-error"

@@ -21,7 +21,7 @@ from rkfda.bench import _model_entropy
 from rkfda.estimate import pooled_cov
 from rkfda.kernels import _solve_lower
 from rkfda.select import SelectionConfig, greedy_select, oracle_source
-from rkfda.simulate import builtin_catalog, gen_model_dataset, standard_grid
+from rkfda.simulate import SmoothedBrownian, builtin_catalog, gen_model_dataset, standard_grid
 
 EPS = np.finfo(float).eps
 
@@ -328,3 +328,27 @@ def test_kernels_accept_their_whole_domain():
     assert kernel_eval(BrownianBridgeKernel(t_max=2.0), 2.0, 2.0) == 0.0
     # a grid's last point may round just past the bridge's endpoint
     assert kernel_eval(BrownianBridgeKernel(), 1.0 + 1e-13, 0.5) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        (lambda v: OrnsteinUhlenbeckKernel(theta=v), math.inf),
+        (lambda v: OrnsteinUhlenbeckKernel(theta=v), math.nan),
+        (lambda v: OrnsteinUhlenbeckKernel(sigma2=v), math.inf),
+        (lambda v: OrnsteinUhlenbeckKernel(sigma2=v), math.nan),
+        (lambda v: BrownianBridgeKernel(t_max=v), 0.0),
+        (lambda v: BrownianBridgeKernel(t_max=v), -1.0),
+        (lambda v: BrownianBridgeKernel(t_max=v), math.inf),
+        (lambda v: BrownianBridgeKernel(t_max=v), math.nan),
+        (lambda v: SmoothedBrownian(bandwidth=v), math.inf),
+        (lambda v: SmoothedBrownian(bandwidth=v), math.nan),
+    ],
+    ids=["ou-theta-inf", "ou-theta-nan", "ou-sigma2-inf", "ou-sigma2-nan", "bridge-t-max-0",
+         "bridge-t-max-negative", "bridge-t-max-inf", "bridge-t-max-nan", "smoothed-inf", "smoothed-nan"],
+)
+def test_process_parameters_must_be_finite_and_positive(make, value):
+    # NaN passes a "<= 0" test; an infinite or NaN parameter gave NaN eigenvalues
+    # and covariances, and a bridge on [0, 0] divided by zero
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        make(value)
