@@ -12,7 +12,8 @@ lock (the per-curve PCG64 loop, small numpy calls): on every shipped plan a
 pool of threads each running whole runs ran slower than one thread.  The
 only helper threads are those of ``classify.knn_decisions``, which spreads
 the row blocks of one large kNN call (at least two blocks per worker), work
-that releases the lock, over the CPUs the process may use and stops them
+that releases the lock, over the CPUs the process may use, on plain threads
+that write into buffers the calling thread allocates and that it joins
 before it returns.  The kNN calls of ``plans/full-protocol.ini`` and of
 perfbench's ``protocol`` shape are one or two blocks, and start no thread.
 
@@ -60,6 +61,7 @@ import numpy as np
 # error_rate, train_knn and train_rkc are unused here but stay importable
 # from this module, where perfbench/tracing.py wraps them.
 from .classify import (  # noqa: F401
+    _is_integer,
     centroid_classifiers,
     centroid_decisions,
     error_rate,
@@ -129,6 +131,8 @@ class ExperimentPlan:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if self.d_max < 1 or self.centroid_r_max < 1:
             raise ValueError("d_max and centroid_r_max must be at least 1")
+        if not all(map(_is_integer, self.k_grid)):
+            raise ValueError(f"k_grid must hold integers, got {' '.join(map(repr, self.k_grid))}")
         if not self.k_grid or min(self.k_grid) < 1:
             raise ValueError("k_grid must hold at least one k, each at least 1")
         if self.workers is not None and self.workers < 1:

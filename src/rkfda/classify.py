@@ -16,9 +16,11 @@ exact distance tie at the k-th place goes to the smaller training index.
 statistics per k: with j = k // 2 + 1 the vote is 1 exactly when the j-th
 nearest class-1 curve ranks before the (k - j + 1)-th nearest class-0
 curve.  Squared distances less the row constant ``||x||^2`` come from one
-matrix product per cache-sized block of query rows (a call of at least two
-blocks per worker spreads them over the CPUs the process may use), whose
-class halves are partitioned in place, values only.  A row whose two
+matrix product per cache-sized block of query rows, whose class halves are
+partitioned in place, values only.  Each block writes into a query buffer
+and a distance buffer allocated once per call, one pair per worker (a call
+of at least two blocks per worker spreads them over the CPUs the process
+may use, on plain threads).  A row whose two
 statistics lie further apart than twice a rounding bound tau at every k is
 decided: an order statistic moves by at most the largest rounding error, so
 the exact rule compares the two curves the same way.  These rows include
@@ -26,7 +28,8 @@ all those whose k-th and (k+1)-th distances lie that far apart.  Every
 other row (exact and near ties) goes to the exact rule, one stable sort of
 its distances summed in grid order, bit for bit those of
 ``scipy.spatial.distance.cdist`` (the tests' oracle), without scipy.
-Training and query curves must be finite, and training labels 0 or 1.
+Training and query curves must be finite rows on the grid, and training
+labels 0 or 1, one per training curve.
 ``CentroidClassifier`` projects a curve onto a truncated eigenbasis contrast
 and assigns the class whose projected centroid is closer;
 :func:`centroid_decisions` decides for several truncation orders from one
@@ -39,7 +42,9 @@ for tests; under the continuous models a tie has probability zero.
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -112,8 +117,8 @@ class KNNClassifier:
 
     Neighbours rank by (distance, training index): an exact distance tie at
     the k-th place goes to the training curve with the smaller index.  A
-    tied vote (even k) goes to label 0.  Training curves must be finite and
-    labels 0 or 1.
+    tied vote (even k) goes to label 0.  Training curves must be finite rows
+    on the grid, labels 0 or 1, one per curve, and k an integer in [1, n].
     See :func:`knn_decisions`.
     """
 
@@ -125,10 +130,10 @@ class KNNClassifier:
     def __post_init__(self):
         object.__setattr__(self, "train_curves", _frozen_array(self.train_curves))
         object.__setattr__(self, "train_labels", _frozen_array(self.train_labels, dtype=int))
-        _check_finite(self.train_curves)
-        _check_binary(self.train_labels)
-        n = self.train_curves.shape[0]
-        if not 1 <= self.k <= n:
+        _check_training(self.grid, self.train_curves, self.train_labels)
+        if not _is_integer(self.k):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
+        if not 1 <= self.k <= self.train_labels.size:
             raise ValueError("k must lie in [1, n]")
 
     def decide(self, curves: np.ndarray) -> np.ndarray:
@@ -234,9 +239,29 @@ def _check_finite(values) -> None:
         raise ValueError("curve values must be finite")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer; numpy's integer scalars count, bools do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_binary(labels) -> None:
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError("labels must be 0 or 1")
+
+
+def _check_rows(grid: Grid, curves: np.ndarray, role: str) -> None:
+    """Curves as finite rows, one column per grid point."""
+    if curves.ndim != 2 or curves.shape[1] != grid.count:
+        raise ValueError(f"{role} curves must be 2-D with one column per grid point ({grid.count})")
+    _check_finite(curves)
+
+
+def _check_training(grid: Grid, curves: np.ndarray, labels: np.ndarray) -> None:
+    """A kNN training sample: finite rows on the grid, one 0/1 label a row."""
+    _check_rows(grid, curves, "training")
+    if labels.shape != (curves.shape[0],):
+        raise ValueError(f"{labels.size} training labels for {curves.shape[0]} training curves")
+    _check_binary(labels)
 
 
 def _cpus() -> int:
@@ -254,8 +279,9 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
     vote of the ``ks[i]`` nearest training curves, label 1 when more than
     half of them are 1.  The decisions are those of the exact rule,
     :func:`_knn_decisions_exact`, which ranks exact distances by one
-    stable sort, bit for bit; non-finite curves and labels other than 0 and
-    1 raise ValueError.
+    stable sort, bit for bit.  ValueError is raised for curves that are not
+    finite or not 2-D with one column per grid point, training labels other
+    than 0 and 1 or not one per training curve, and ks that are not integers.
 
     The vote from two order statistics.  With j = k // 2 + 1, the vote at k
     is 1 exactly when at least j of the k nearest curves are of class 1, that
@@ -321,23 +347,30 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
     The product and the partition release the interpreter lock, so a call
     of b blocks deals them round-robin to ``min(b // 2, cpus)`` workers, cpus
     being the CPUs this process may run on (``os.sched_getaffinity``): the
-    calling thread takes one share and a thread pool made for the call takes
-    the rest.  A call with fewer than two workers runs in the calling thread
-    and starts no thread; only a call that splits imports
-    ``concurrent.futures``.  Each worker gets at least two blocks because a
-    helper thread holds about 3 MB more peak memory, which one block's
-    share of the time (about 2 ms at n = 200) does not repay.
+    calling thread takes one share and plain threads started for the call
+    take the rest, joined before it returns; an exception in one is raised
+    in the caller.  A call with fewer than two workers runs in the calling
+    thread and starts no thread.  The calling thread allocates each worker's
+    query buffer and distance buffer once per call, ``min(step, queries)``
+    rows each for blocks of ``step`` rows, and every block writes its scaled
+    curves and its product into them in place: no block allocates its own
+    distances, and no helper thread an array of n columns.  On perfbench
+    ``large-n`` (n = 1000, 2 CPUs) a split call holds about 1.7 MB more peak
+    memory than one CPU, most of it the helper thread's own BLAS buffer and
+    malloc arena.  Each worker gets at least two blocks; whether one block
+    repays a thread is not yet measured.
     """
+    if np.ndim(ks) != 1 or not all(map(_is_integer, ks)):
+        raise ValueError("ks must be a sequence of integers")
     ks = np.asarray(ks, dtype=int)
+    train_curves = np.asarray(train_curves, dtype=float)
     train_labels = np.asarray(train_labels)
+    _check_training(grid, train_curves, train_labels)
     n = train_labels.size
     if ks.size == 0 or ks.min() < 1 or ks.max() > n:
         raise ValueError("k must lie in [1, n]")
     curves = np.asarray(curves, dtype=float)
-    train_curves = np.asarray(train_curves, dtype=float)
-    _check_finite(curves)
-    _check_finite(train_curves)
-    _check_binary(train_labels)
+    _check_rows(grid, curves, "query")
     y, n0 = _gather_by_class(train_curves, train_labels)
     n1 = n - n0
     rank1 = ks // 2 + 1  # j, the rank of the class-1 statistic
@@ -357,13 +390,13 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
     out[:] = (rank1 <= n1)[:, None]  # the votes that a class too small decides by count
     sure = np.empty(queries, dtype=bool)
 
-    def screen(blocks):
+    def screen(blocks, x_buf, d2_buf):
         # numpy's error state is per thread: set it in the thread that computes
         with np.errstate(over="ignore", invalid="ignore"):
             for rows in blocks:
-                x = curves[rows] * scale
+                x = np.multiply(curves[rows], scale, out=x_buf[: rows.stop - rows.start])
                 xx = np.einsum("ij,ij->i", x, x)
-                d2 = x @ y.T
+                d2 = np.matmul(x, y.T, out=d2_buf[: len(x)])
                 d2 += yy
                 near0 = _smallest(d2[:, :n0], keep0)
                 near1 = _smallest(d2[:, n0:], keep1)
@@ -377,18 +410,30 @@ def knn_decisions(grid: Grid, train_curves, train_labels, curves, ks) -> np.ndar
                 out[both, rows] = (stat1 < stat0).T
 
     step = max(1, _BLOCK_BYTES // (8 * n))
-    blocks = [slice(start, start + step) for start in range(0, queries, step)]
-    workers = min(len(blocks) // 2, _cpus())
-    if workers > 1:
-        from concurrent import futures  # it and the logging it imports: 0.7 MB
+    blocks = [slice(start, min(start + step, queries)) for start in range(0, queries, step)]
+    workers = max(1, min(len(blocks) // 2, _cpus()))
+    buf_rows = min(step, queries)
+    shares = [
+        (blocks[w::workers], np.empty((buf_rows, grid.count)), np.empty((buf_rows, n))) for w in range(workers)
+    ]
+    errors = []
 
-        with futures.ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            helpers = [pool.submit(screen, blocks[w::workers]) for w in range(1, workers)]
-            screen(blocks[::workers])
-            for helper in helpers:
-                helper.result()
-    else:
-        screen(blocks)
+    def helper(share):
+        try:
+            screen(*share)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=helper, args=(share,)) for share in shares[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        screen(*shares[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     unsure = np.flatnonzero(~sure)
     if unsure.size:
         out[:, unsure] = _knn_decisions_exact(grid, train_curves, train_labels, curves[unsure], ks)

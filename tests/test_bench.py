@@ -362,6 +362,10 @@ def test_plan_validation():
         {"models": ("G2", "G2")},
         {"sizes": (30, 30)},
         {"methods": ("kNN", "kNN")},
+        {"k_grid": (2.5,)},
+        {"k_grid": (3.0, 5)},
+        {"k_grid": (True, 3)},
+        {"k_grid": (1, np.bool_(True))},
     ],
 )
 def test_plan_rejects_bad_hyperparameters(bad):

@@ -1,6 +1,5 @@
 import ast
 import collections
-import concurrent.futures
 import importlib
 import json
 import math
@@ -711,17 +710,17 @@ def test_knn_screen_with_k_equal_to_n(n):
 
 
 @pytest.fixture
-def executors(monkeypatch):
-    """Three CPUs for this process; count the thread pools that knn_decisions starts."""
-    real = concurrent.futures.ThreadPoolExecutor
+def started_threads(monkeypatch):
+    """Three CPUs for this process; record the threads that knn_decisions starts."""
+    real = threading.Thread.start
     started = []
 
-    def counting(*args, **kwargs):
-        started.append(kwargs.get("max_workers"))
-        return real(*args, **kwargs)
+    def counting(thread):
+        started.append(thread)
+        return real(thread)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting)
+    monkeypatch.setattr(threading.Thread, "start", counting)
     return started
 
 
@@ -732,7 +731,7 @@ def _block_rows(n):
 
 # one block - 1, one block, one block + 1, and four or six blocks, the last short
 @pytest.mark.parametrize("queries", [1, 130, 131, 132, 3 * 131 + 17, 5 * 131 + 17])
-def test_knn_screen_in_row_blocks_matches_the_exact_rule(queries, executors):
+def test_knn_screen_in_row_blocks_matches_the_exact_rule(queries, started_threads):
     grid = standard_grid(100)
     model = builtin_catalog()["G4"]
     train = gen_model_dataset(model, 1000, grid, (39, 0))
@@ -741,14 +740,14 @@ def test_knn_screen_in_row_blocks_matches_the_exact_rule(queries, executors):
     query = gen_model_dataset(model, queries, grid, (39, 1))
     _assert_screen_is_exact(grid, train.curves, train.labels, query.curves, ODD_KS)
     # b blocks on three CPUs go to min(b // 2, 3) workers, the caller and a
-    # pool of the rest: 1 or 2 blocks start no thread, 4 a pool of 1, 6 of 2
+    # thread for each of the rest: 1 or 2 blocks start no thread, 4 one, 6 two
     blocks = -(-queries // step)
-    workers = min(blocks // 2, 3)
-    assert executors == ([] if workers < 2 else [workers - 1])
+    assert len(started_threads) == max(1, min(blocks // 2, 3)) - 1
+    assert not any(thread.is_alive() for thread in started_threads)
 
 
 @pytest.mark.parametrize("twin", ["copy", "one-ulp"])
-def test_knn_screen_maps_fallback_rows_of_the_first_and_last_block(twin, fallback_rows, executors):
+def test_knn_screen_maps_fallback_rows_of_the_first_and_last_block(twin, fallback_rows, started_threads):
     rng = np.random.default_rng(40)
     grid = make_grid(8, 0, 1)
     curves = rng.normal(size=(1000, 8))
@@ -766,8 +765,82 @@ def test_knn_screen_maps_fallback_rows_of_the_first_and_last_block(twin, fallbac
     query[0], query[-1] = curves[17], curves[911]
     _assert_screen_is_exact(grid, curves, labels, query, ODD_KS)
     np.testing.assert_array_equal(np.vstack(fallback_rows), query[[0, -1]])
-    # four blocks, two workers: the caller screens the first, the pool's thread the last
-    assert executors == [1]
+    # four blocks, two workers: the caller screens the first, a helper thread the last
+    assert len(started_threads) == 1
+
+
+@pytest.mark.parametrize("model_id", ["G4", "L4-sB", "M3"])
+def test_knn_screen_is_exact_on_one_two_and_three_workers(model_id, monkeypatch):
+    grid = standard_grid(100)
+    model = builtin_catalog()[model_id]
+    train = gen_model_dataset(model, 1000, grid, (42, 0))
+    step = _block_rows(train.size)
+    # one row, one block - 1, one block, one block + 1, four blocks and six,
+    # the last of each short; decisions of a row do not depend on the others
+    counts = [1, step - 1, step, step + 1, 3 * step + 17, 5 * step + 17]
+    query = gen_model_dataset(model, counts[-1], grid, (42, 1)).curves
+    args = (grid, train.curves, train.labels, query, ODD_KS)
+    want = _knn_decisions_exact(*args)
+    np.testing.assert_array_equal(want, _knn_decisions_cdist(*args))
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        for queries in counts:
+            got = knn_decisions(grid, train.curves, train.labels, query[:queries], ODD_KS)
+            np.testing.assert_array_equal(got, want[:, :queries], err_msg=f"{cpus} CPUs, {queries} queries")
+
+
+def test_knn_screen_keeps_no_buffer_across_calls(started_threads):
+    # a split call, a one-block call on other curves, and the first again:
+    # each call sizes and fills its own buffers
+    grid = standard_grid(100)
+    model = builtin_catalog()["L1-B"]
+    train = gen_model_dataset(model, 1000, grid, (43, 0))
+    step = _block_rows(train.size)
+    calls = [gen_model_dataset(model, m, grid, (43, i)).curves for i, m in ((1, 3 * step + 17), (2, 5))]
+    calls.append(calls[0])
+    for query in calls:
+        _assert_screen_is_exact(grid, train.curves, train.labels, query, ODD_KS)
+    assert len(started_threads) == 2  # one helper for each four-block call
+
+
+def test_knn_screen_raises_what_a_helper_thread_raises(monkeypatch, started_threads):
+    module = importlib.import_module("rkfda.classify")
+    smallest = module._smallest
+    caller = threading.get_ident()
+
+    def failing(d2, count):
+        if threading.get_ident() != caller:
+            raise MemoryError("helper thread")
+        return smallest(d2, count)
+
+    monkeypatch.setattr(module, "_smallest", failing)
+    grid = standard_grid(100)
+    train = gen_model_dataset(builtin_catalog()["G4"], 1000, grid, (44, 0))
+    query = gen_model_dataset(builtin_catalog()["G4"], 4 * _block_rows(train.size), grid, (44, 1))
+    with pytest.raises(MemoryError, match="helper thread"):
+        knn_decisions(grid, train.curves, train.labels, query.curves, ODD_KS)
+    assert len(started_threads) == 1
+    assert not started_threads[0].is_alive()
+
+
+def test_split_knn_call_loads_no_concurrent_futures():
+    # helpers are plain threads: a call of 4 * 131 + 17 queries against 1000
+    # training curves is five blocks, two workers on two CPUs
+    code = (
+        "import os, sys, threading\n"
+        "import numpy as np\n"
+        "from rkfda import make_grid\n"
+        "from rkfda.classify import knn_decisions\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "start, started = threading.Thread.start, []\n"
+        "threading.Thread.start = lambda thread: started.append(thread) or start(thread)\n"
+        "rng = np.random.default_rng(45)\n"
+        "labels = rng.integers(0, 2, size=1000)\n"
+        "knn_decisions(make_grid(100, 0, 1), rng.normal(size=(1000, 100)), labels,\n"
+        "              rng.normal(size=(4 * 131 + 17, 100)), [1, 3, 5])\n"
+        "print(len(started), sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))\n"
+    )
+    assert _fresh_python(code) == "1 []"
 
 
 def test_knn_decisions_from_concurrent_user_threads_are_exact():
@@ -939,6 +1012,58 @@ def test_knn_training_labels_must_be_0_or_1():
         KNNClassifier(grid=g, train_curves=curves, train_labels=[0, 1, 2], k=1)
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
         knn_decisions(g, curves, [0, 1, 2], np.zeros((1, 2)), [1])
+
+
+def _knn_case(n=20, count=10, seed=49):
+    rng = np.random.default_rng(seed)
+    return make_grid(count, 0, 1), rng.normal(size=(n, count)), np.arange(n) % 2, rng.normal(size=(5, count))
+
+
+@pytest.mark.parametrize(
+    "case, match",
+    [
+        (lambda g, c, y, q: (g, c, y[:18], q, [1]), "18 training labels for 20 training curves"),
+        (lambda g, c, y, q: (g, c[:18], y, q, [1]), "20 training labels for 18 training curves"),
+        (lambda g, c, y, q: (g, c, y[:, None], q, [1]), "20 training labels for 20 training curves"),
+        (lambda g, c, y, q: (g, c[:, :8], y, q[:, :8], [1]), "training curves must be 2-D"),
+        (lambda g, c, y, q: (g, c[0], y[:1], q, [1]), "training curves must be 2-D"),
+        (lambda g, c, y, q: (g, c, y, q[:, :8], [1]), "query curves must be 2-D"),
+        (lambda g, c, y, q: (g, c, y, q[0], [1]), "query curves must be 2-D"),
+        (lambda g, c, y, q: (g, c, y, q, [2.7]), "ks must be a sequence of integers"),
+        (lambda g, c, y, q: (g, c, y, q, [3.0]), "ks must be a sequence of integers"),
+        (lambda g, c, y, q: (g, c, y, q, [1, True]), "ks must be a sequence of integers"),
+        (lambda g, c, y, q: (g, c, y, q, np.array([True])), "ks must be a sequence of integers"),
+        (lambda g, c, y, q: (g, c, y, q, 3), "ks must be a sequence of integers"),
+    ],
+    ids=["few-labels", "many-labels", "2-D-labels", "narrow", "1-D-train", "narrow-query", "1-D-query",
+         "k-2.7", "k-3.0", "k-True", "k-bool-array", "k-scalar"],
+)
+def test_knn_decisions_reject_malformed_input(case, match):
+    with pytest.raises(ValueError, match=match):
+        knn_decisions(*case(*_knn_case()))
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({"k": 2.5}, "k must be an integer"),
+        ({"k": True}, "k must be an integer"),
+        ({"k": np.float64(3.0)}, "k must be an integer"),
+        ({"train_labels": np.arange(18) % 2}, "18 training labels for 20 training curves"),
+        ({"grid": make_grid(12, 0, 1)}, "training curves must be 2-D"),
+    ],
+    ids=["k-2.5", "k-True", "k-float64", "few-labels", "grid"],
+)
+def test_knn_classifier_rejects_malformed_fields(fields, match):
+    grid, curves, labels, _ = _knn_case()
+    with pytest.raises(ValueError, match=match):
+        KNNClassifier(**{"grid": grid, "train_curves": curves, "train_labels": labels, "k": 3, **fields})
+
+
+def test_knn_classifier_takes_numpy_integer_k():
+    grid, curves, labels, query = _knn_case()
+    clf = KNNClassifier(grid=grid, train_curves=curves, train_labels=labels, k=np.int64(3))
+    np.testing.assert_array_equal(clf.decide(query), knn_decisions(grid, curves, labels, query, [3])[0])
 
 
 def test_query_curves_must_be_finite():

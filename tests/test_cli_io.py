@@ -170,6 +170,21 @@ def test_read_classifier_rejects_a_knn_label_other_than_0_or_1(tmp_path, bad):
         io.read_classifier(model)
 
 
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda line: line.rsplit(" ", 1)[0] if line.startswith("labels ") else line, "19 training labels"),
+        (lambda line: line.rsplit(" ", 1)[0] if line.startswith("curve ") else line, "training curves must be 2-D"),
+    ],
+    ids=["a-label-short", "curves-narrower-than-the-grid"],
+)
+def test_read_classifier_rejects_a_knn_file_whose_shapes_disagree(tmp_path, edit, match):
+    model, _ = _knn_file_with_a_bad_curve(tmp_path, "0")
+    model.write_text("\n".join(map(edit, model.read_text().splitlines())) + "\n")
+    with pytest.raises(DatasetFormatError, match=match):
+        io.read_classifier(model)
+
+
 def test_cli_predict_with_a_non_finite_knn_curve_is_a_parse_error(tmp_path, capsys):
     model, data = _knn_file_with_a_bad_curve(tmp_path, "nan")
     capsys.readouterr()
