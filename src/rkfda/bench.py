@@ -80,6 +80,7 @@ __all__ = [
     "ExperimentPlan",
     "ReportEntry",
     "RunReport",
+    "resolve_models",
     "run_experiment",
     "HistogramReport",
     "variable_recovery_histogram",
@@ -112,16 +113,18 @@ class ExperimentPlan:
     workers: int | None = None
 
     def __post_init__(self):
-        for name in ("models", "sizes", "methods"):
+        if not all(map(_is_integer, self.k_grid)):
+            raise ValueError(f"k_grid must hold integers, got {' '.join(map(repr, self.k_grid))}")
+        for name in ("models", "sizes", "methods", "k_grid"):
             values = getattr(self, name)
             if not values:
                 raise ValueError(f"{name} must not be empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat a value, got {' '.join(map(str, values))}")
+            if name in ("sizes", "k_grid") and min(values) < 1:
+                raise ValueError(f"{name} values must each be at least 1")
         if self.runs < 1 or self.test_size < 1 or self.validation_size < 1:
             raise ValueError("runs, test and validation sizes must be positive")
-        if min(self.sizes) < 1:
-            raise ValueError("sizes must each be at least 1")
         if self.grid_count < 2:
             raise ValueError("grid_count must be at least 2")
         if self.seed < 0:
@@ -131,10 +134,6 @@ class ExperimentPlan:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if self.d_max < 1 or self.centroid_r_max < 1:
             raise ValueError("d_max and centroid_r_max must be at least 1")
-        if not all(map(_is_integer, self.k_grid)):
-            raise ValueError(f"k_grid must hold integers, got {' '.join(map(repr, self.k_grid))}")
-        if not self.k_grid or min(self.k_grid) < 1:
-            raise ValueError("k_grid must hold at least one k, each at least 1")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -290,17 +289,23 @@ def _one_run(model: ModelSpec, n: int, run_idx: int, plan: ExperimentPlan, grid:
     return out
 
 
+def resolve_models(ids, catalog: dict | None = None) -> list:
+    """The models of ``ids`` in ``catalog`` (by default the built-in one); ValueError names any it lacks."""
+    catalog = catalog if catalog is not None else builtin_catalog()
+    missing = [m for m in ids if m not in catalog]
+    if missing:
+        raise ValueError(f"unknown model id(s): {' '.join(missing)}")
+    return [catalog[m] for m in ids]
+
+
 def run_experiment(plan: ExperimentPlan, catalog: dict | None = None) -> RunReport:
     """Execute the plan and aggregate per (model, n, method) across runs."""
-    catalog = catalog if catalog is not None else builtin_catalog()
-    missing = [m for m in plan.models if m not in catalog]
-    if missing:
-        raise ValueError(f"models not in the catalog: {missing}")
+    models = resolve_models(plan.models, catalog)
     grid = standard_grid(plan.grid_count)
     with _blas_pinned():
         results = (
-            _one_run(catalog[model_id], n, run_idx, plan, grid)
-            for model_id in plan.models
+            _one_run(model, n, run_idx, plan, grid)
+            for model in models
             for n in plan.sizes
             for run_idx in range(plan.runs)
         )
@@ -367,8 +372,7 @@ def variable_recovery_histogram(
     within two grid steps (``_MATCH_STEPS``) of it.
     """
     if isinstance(model, str):
-        catalog = catalog if catalog is not None else builtin_catalog()
-        model = catalog[model]
+        (model,) = resolve_models([model], catalog)
     grid = grid if grid is not None else standard_grid()
     relevant = tuple(getattr(model, "relevant", ()) or ())
     ent = _model_entropy(model.id)

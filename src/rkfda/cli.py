@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import io
-from .bench import ExperimentPlan, run_experiment, variable_recovery_histogram
+from .bench import resolve_models, run_experiment, variable_recovery_histogram
 from .classify import train_knn, train_rkc, train_centroid, classify_batch
 from .core import DatasetFormatError, RkfdaError, make_grid
 from .kernels import (
@@ -48,16 +48,19 @@ def _parse_kernel(text: str):
     raise DatasetFormatError(f"unknown kernel {text!r} (use brownian|bridge|ou|ou:theta,sigma2)")
 
 
-def _catalog(args):
-    return load_catalog(args.catalog) if getattr(args, "catalog", None) else builtin_catalog()
+def _models(args, ids) -> dict:
+    """The models of ``ids`` in ``--catalog`` (or the built-in one), by id; an unknown id is a parse error."""
+    catalog = load_catalog(args.catalog) if args.catalog else builtin_catalog()
+    try:
+        return dict(zip(ids, resolve_models(ids, catalog)))
+    except ValueError as exc:
+        raise DatasetFormatError(str(exc)) from exc
 
 
 def _cmd_simulate(args) -> int:
-    catalog = _catalog(args)
-    if args.model not in catalog:
-        raise DatasetFormatError(f"unknown model id {args.model!r}")
+    model = _models(args, [args.model])[args.model]
     grid = standard_grid(args.grid_count)
-    dataset = gen_model_dataset(catalog[args.model], args.n, grid, args.seed)
+    dataset = gen_model_dataset(model, args.n, grid, args.seed)
     io.write_dataset(dataset, args.out)
     return 0
 
@@ -143,17 +146,18 @@ def _cmd_eigen(args) -> int:
 
 def _cmd_bench(args) -> int:
     plan = io.read_plan(args.plan)
-    report = run_experiment(plan, catalog=_catalog(args))
+    # every id is looked up before the first run, so an unknown one writes nothing
+    models = _models(args, [*plan.models, *([args.hist_model] if args.hist_model else [])])
+    report = run_experiment(plan, catalog=models)
     io.write_report(report, args.out)
     if args.hist_model:
         hist = variable_recovery_histogram(
-            args.hist_model,
+            models[args.hist_model],
             n=args.hist_n,
             runs=args.hist_runs,
             d=args.hist_d,
             grid=standard_grid(plan.grid_count),
             seed=plan.seed,
-            catalog=_catalog(args),
         )
         io.write_histogram(hist, args.hist_out)
     return 0

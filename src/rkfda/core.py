@@ -1,4 +1,4 @@
-"""Shared domain types: sampling grids, labeled curve datasets, selection results.
+"""Shared domain types (grids, labeled curve datasets, selection results) and input checks.
 
 All types are immutable after construction and safe to share across threads.
 Curves are plain float64 arrays with one value per grid point; a dataset
@@ -49,6 +49,28 @@ class TrainingError(RkfdaError, ValueError):
 
 class DatasetFormatError(RkfdaError):
     """A dataset / plan / model file violates its documented format."""
+
+
+def _read_section(section, name: str, parsers: dict, required=()) -> dict:
+    """The parsed values of the keys present in an INI ``section``, by key.
+
+    ``parsers`` maps every allowed key to its parser.  A key it does not
+    list, a missing ``required`` key and a value whose parser raises are
+    each a DatasetFormatError naming ``name`` and the key.
+    """
+    unknown = sorted(set(section) - set(parsers))
+    if unknown:
+        raise DatasetFormatError(f"{name}: unknown key(s) {', '.join(map(repr, unknown))}")
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise DatasetFormatError(f"{name} has no {missing[0]!r} key")
+    values = {}
+    for key in section:
+        try:
+            values[key] = parsers[key](section[key])
+        except (DatasetFormatError, ValueError, ArithmeticError) as exc:
+            raise DatasetFormatError(f"{name}, key {key!r}: {exc}") from exc
+    return values
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -132,14 +154,31 @@ class Grid:
 
 
 def make_grid(count: int, t_min: float = 0.0, t_max: float = 1.0) -> Grid:
-    """Equispaced grid of ``count`` points including both endpoints."""
+    """Equispaced grid of ``count`` points including both endpoints; ``Grid`` checks them."""
     if not (np.isfinite(t_min) and np.isfinite(t_max)):
-        raise ValueError("grid bounds must be finite")
-    if count < 2:
-        raise ValueError("grid needs at least 2 points")
-    if not t_min < t_max:
-        raise ValueError("t_min must be below t_max")
+        raise ValueError("grid bounds must be finite")  # linspace warns on an infinite bound
     return Grid(np.linspace(t_min, t_max, count))
+
+
+def _check_finite(values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("curve values must be finite")
+
+
+def _check_rows(grid: Grid, curves: np.ndarray, role: str) -> None:
+    """Curves as finite rows, one column per grid point."""
+    if curves.ndim != 2 or curves.shape[1] != grid.count:
+        raise ValueError(f"{role} curves must be 2-D with one column per grid point ({grid.count})")
+    _check_finite(curves)
+
+
+def _check_training(grid: Grid, curves: np.ndarray, labels: np.ndarray, role: str = "training") -> None:
+    """A labeled sample: finite rows on the grid, one 0/1 label a row."""
+    _check_rows(grid, curves, role)
+    if labels.shape != (curves.shape[0],):
+        raise ValueError(f"{labels.size} {role} labels for {curves.shape[0]} {role} curves")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be 0 or 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,14 +198,7 @@ class LabeledDataset:
     def __post_init__(self):
         curves = _frozen_array(self.curves)
         labels = _frozen_array(self.labels, dtype=int)
-        if curves.ndim != 2 or curves.shape[1] != self.grid.count:
-            raise ValueError("curves must be (n, grid.count)")
-        if labels.shape != (curves.shape[0],):
-            raise ValueError("labels and curves must have equal length")
-        if not np.all(np.isfinite(curves)):
-            raise ValueError("curve values must be finite")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise ValueError("labels must be 0 or 1")
+        _check_training(self.grid, curves, labels, "dataset")
         if self.fixed_prior is not None and not 0.0 < self.fixed_prior < 1.0:
             raise ValueError("fixed prior must lie in (0, 1)")
         object.__setattr__(self, "curves", curves)

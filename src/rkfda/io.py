@@ -22,7 +22,7 @@ import numpy as np
 
 from .bench import ExperimentPlan, HistogramReport, RunReport
 from .classify import CentroidClassifier, KNNClassifier, RKCClassifier, TrainedClassifier
-from .core import DatasetFormatError, Grid, LabeledDataset
+from .core import DatasetFormatError, Grid, LabeledDataset, _read_section
 
 __all__ = [
     "read_dataset",
@@ -69,8 +69,6 @@ def read_dataset(path, fixed_prior: float | None = None) -> LabeledDataset:
             raise ValueError
     except ValueError:
         raise DatasetFormatError(f"{path}: line 1: bad grid column in header") from None
-    if np.any(np.diff(times) <= 0):
-        raise DatasetFormatError(f"{path}: line 1: grid times must be increasing")
     try:
         grid = Grid(np.array(times))
     except ValueError as exc:
@@ -182,10 +180,15 @@ def read_classifier(path) -> TrainedClassifier:
         raise DatasetFormatError(f"{path}: malformed model file ({exc})") from exc
 
 
-_PLAN_INT_KEYS = (
-    "runs", "test_size", "validation_size", "grid_count", "d_max", "centroid_r_max", "seed", "workers",
-)
-_PLAN_KEYS = {"models", "sizes", "methods", "k_grid", *_PLAN_INT_KEYS}
+# every key a plan may hold, with its parser
+_PLAN_KEYS = {
+    "models": lambda text: tuple(text.split()),
+    "methods": lambda text: tuple(text.split()),
+    "sizes": lambda text: tuple(map(int, text.split())),
+    "k_grid": lambda text: tuple(map(int, text.split())),
+    **dict.fromkeys(["runs", "test_size", "validation_size", "grid_count", "d_max", "centroid_r_max"], int),
+    "seed": int, "workers": int,
+}
 
 
 def read_plan(path) -> ExperimentPlan:
@@ -198,24 +201,10 @@ def read_plan(path) -> ExperimentPlan:
         raise DatasetFormatError(f"{path}: {exc}") from exc
     if not parser.has_section("plan"):
         raise DatasetFormatError(f"{path}: missing [plan] section")
-    section = parser["plan"]
-    unknown = sorted(set(section) - _PLAN_KEYS)
-    if unknown:
-        raise DatasetFormatError(f"{path}: unknown plan key(s): {', '.join(unknown)}")
+    kwargs = _read_section(parser["plan"], f"{path}: [plan]", _PLAN_KEYS, required=("models", "sizes"))
     try:
-        kwargs = dict(
-            models=tuple(section["models"].split()),
-            sizes=tuple(int(v) for v in section["sizes"].split()),
-        )
-        for key in _PLAN_INT_KEYS:
-            if key in section:
-                kwargs[key] = int(section[key])
-        if "methods" in section:
-            kwargs["methods"] = tuple(section["methods"].split())
-        if "k_grid" in section:
-            kwargs["k_grid"] = tuple(int(v) for v in section["k_grid"].split())
         return ExperimentPlan(**kwargs)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise DatasetFormatError(f"{path}: bad plan value ({exc})") from exc
 
 

@@ -114,16 +114,21 @@ def kernel_eval(spec: KernelSpec, s: float, t: float) -> float:
     return float(spec.pairwise(np.atleast_1d(float(s)), np.atleast_1d(float(t)))[0, 0])
 
 
+def _require_distinct_points(pts: np.ndarray) -> None:
+    """Raise ValueError unless ``pts`` is a nonempty 1-D array of distinct times."""
+    if pts.ndim != 1 or pts.size == 0:
+        raise ValueError("points must be a nonempty 1-d sequence")
+    if np.unique(pts).size != pts.size:
+        raise ValueError("points must be distinct")
+
+
 def gram(spec: KernelSpec, points) -> np.ndarray:
     """Covariance matrix with entry (i, j) = K(points[i], points[j]).
 
     Points must be distinct; the result is symmetrized to machine precision.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    if pts.ndim != 1 or pts.size == 0:
-        raise ValueError("points must be a nonempty 1-d sequence")
-    if np.unique(pts).size != pts.size:
-        raise ValueError("points must be distinct")
+    _require_distinct_points(pts)
     k = spec.pairwise(pts, pts)
     return (k + k.T) / 2.0
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _frozen_array
-from .kernels import EigenSystem, KernelSpec, gram, solve_spd
+from .kernels import EigenSystem, KernelSpec, _require_distinct_points, gram, solve_spd
 
 __all__ = [
     "FiniteExpansionMean",
@@ -55,12 +55,9 @@ class FiniteExpansionMean:
     def __post_init__(self):
         pts = _frozen_array(self.points)
         al = _frozen_array(self.alphas)
-        if pts.ndim != 1 or pts.size == 0:
-            raise ValueError("expansion needs at least one point")
+        _require_distinct_points(pts)
         if al.shape != pts.shape:
             raise ValueError("alphas must align with points")
-        if np.unique(pts).size != pts.size:
-            raise ValueError("expansion points must be distinct")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "alphas", al)
 

@@ -60,7 +60,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import DatasetFormatError, Grid, LabeledDataset, make_grid
+from .core import DatasetFormatError, Grid, LabeledDataset, _read_section, make_grid
 from .kernels import (
     _BRIDGE_END_SLACK,
     BrownianBridgeKernel,
@@ -119,8 +119,7 @@ class RandomSlopeTrend:
     sd: float
 
     def __post_init__(self):
-        if self.sd <= 0:
-            raise ValueError("slope standard deviation must be positive")
+        _require_finite_positive(sd=self.sd)
 
 
 @dataclass(frozen=True)
@@ -762,7 +761,7 @@ def eval_fraction(text: str) -> float:
     return float(text)
 
 
-def _parse_link(text: str, reference_count: int) -> tuple:
+def _parse_link(text: str) -> tuple:
     terms = []
     for coef, term in _signed_terms(text):
         recip = re.fullmatch(rf"({_NUM})\s*/\s*X(\d+)", term)
@@ -782,9 +781,6 @@ def _parse_link(text: str, reference_count: int) -> tuple:
             terms.append(LinkTerm("linear", coef, int(m.group(1))))
             continue
         raise DatasetFormatError(f"unknown link term {term!r}")
-    for term in terms:
-        if not 1 <= term.index <= reference_count:
-            raise DatasetFormatError(f"link index X{term.index} outside the reference grid")
     return tuple(terms)
 
 
@@ -795,22 +791,23 @@ def _prior(text: str) -> float:
     return p
 
 
-def _catalog_value(section, key: str, parse, default: str | None = None):
-    """``parse`` of one key of a model's section; a DatasetFormatError names both if it fails."""
-    text = section.get(key, default)
-    if text is None:
-        raise DatasetFormatError(f"model {section.name!r} has no {key!r} key")
-    try:
-        return parse(text)
-    except (DatasetFormatError, ValueError, ArithmeticError) as exc:
-        raise DatasetFormatError(f"model {section.name!r}, key {key!r}: {exc}") from exc
+# every key a model's section may hold, with its parser, by model type
+_GAUSSIAN_KEYS = {
+    "type": str, "class0": _parse_class_law, "class1": _parse_class_law, "prior": _prior,
+    "relevant": lambda text: tuple(map(float, text.split())),
+}
+_LOGISTIC_KEYS = {
+    "type": str, "process": _parse_class_law, "link": _parse_link, "prior": _prior, "reference_count": int,
+}
 
 
 def parse_catalog(text: str) -> dict[str, ModelSpec]:
     """Parse the plain-text model catalog into model specs keyed by id.
 
-    A missing or malformed key (a weight of 1/0, a prior outside (0, 1))
-    raises DatasetFormatError naming the model and the key.
+    A key the model's type does not allow, a missing key and a malformed
+    value (a weight of 1/0, a prior outside (0, 1), a link index outside the
+    reference grid) each raise DatasetFormatError naming the model and the
+    key.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str
@@ -821,27 +818,22 @@ def parse_catalog(text: str) -> dict[str, ModelSpec]:
     models: dict[str, ModelSpec] = {}
     for model_id in parser.sections():
         section = parser[model_id]
+        name = f"model {model_id!r}"
         kind = section.get("type", "gaussian").strip().lower()
-        prior = _catalog_value(section, "prior", _prior, "0.5")
         if kind in ("gaussian", "mixture"):
-            models[model_id] = GaussianModel(
-                id=model_id,
-                class0=_catalog_value(section, "class0", _parse_class_law),
-                class1=_catalog_value(section, "class1", _parse_class_law),
-                prior=prior,
-                relevant=_catalog_value(section, "relevant", lambda v: tuple(map(float, v.split())), ""),
-            )
+            values = _read_section(section, name, _GAUSSIAN_KEYS, required=("class0", "class1"))
+            values.pop("type", None)
+            models[model_id] = GaussianModel(id=model_id, **values)  # the keys are the field names
         elif kind == "logistic":
-            ref = _catalog_value(section, "reference_count", int, "100")
-            models[model_id] = LogisticModel(
-                id=model_id,
-                marginal=_catalog_value(section, "process", _parse_class_law),
-                terms=_catalog_value(section, "link", lambda v: _parse_link(v, ref)),
-                prior=prior,
-                reference_count=ref,
-            )
+            values = _read_section(section, name, _LOGISTIC_KEYS, required=("process", "link"))
+            ref = values.get("reference_count", 100)
+            bad = [term.index for term in values["link"] if not 1 <= term.index <= ref]
+            if bad:
+                raise DatasetFormatError(f"{name}, key 'link': index X{bad[0]} outside the reference grid")
+            prior = values.get("prior", 0.5)
+            models[model_id] = LogisticModel(model_id, values["process"], values["link"], prior, ref)
         else:
-            raise DatasetFormatError(f"model {model_id!r} has unknown type {kind!r}")
+            raise DatasetFormatError(f"{name} has unknown type {kind!r}")
     return models
 
 

@@ -342,6 +342,15 @@ def test_plan_validation():
         run_experiment(ExperimentPlan(models=("NOPE",), sizes=(30,), runs=1))
 
 
+def test_an_unknown_model_id_is_a_value_error_naming_it():
+    with pytest.raises(ValueError, match="NOPE"):
+        run_experiment(ExperimentPlan(models=("G2", "NOPE"), sizes=(30,), runs=1))
+    with pytest.raises(ValueError, match="NOPE"):
+        variable_recovery_histogram("NOPE", n=30, runs=1, d=1)
+    with pytest.raises(ValueError, match="NOPE"):
+        variable_recovery_histogram("NOPE", n=30, runs=1, d=1, catalog={"G2": builtin_catalog()["G2"]})
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -366,6 +375,7 @@ def test_plan_validation():
         {"k_grid": (3.0, 5)},
         {"k_grid": (True, 3)},
         {"k_grid": (1, np.bool_(True))},
+        {"k_grid": (1, 1, 3)},
     ],
 )
 def test_plan_rejects_bad_hyperparameters(bad):
@@ -392,6 +402,7 @@ def test_plan_rejects_bad_hyperparameters(bad):
         "models = G2 G2",
         "sizes = 30 30",
         "methods = kNN kNN",
+        "k_grid = 1 1 3",
         "rnus = 1",
     ],
 )

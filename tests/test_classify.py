@@ -38,7 +38,6 @@ from rkfda.classify import (
     _TINY,
     CentroidClassifier,
     KNNClassifier,
-    _check_finite,
     _cpus,
     _knn_decisions_exact,
     _rkc_moments,
@@ -47,7 +46,7 @@ from rkfda.classify import (
     knn_decisions,
     rkc_decisions,
 )
-from rkfda.core import SelectionResult
+from rkfda.core import SelectionResult, _check_finite
 from rkfda.kernels import BrownianKernel, gram, solve_spd
 from rkfda.select import SelectionConfig, greedy_select, oracle_source_from_dataset
 from rkfda.simulate import builtin_catalog, gen_model_dataset, standard_grid

@@ -507,10 +507,16 @@ def test_cli_dataset_parse_failure(tmp_path, capsys):
         ("[X]\nclass0 = OU(1e999, 1)\nclass1 = B\n", "class0"),
         ("[X]\nclass0 = B\nclass1 = OU(1, 1e999)\n", "class1"),
         ("[X]\ntype = logistic\nprocess = sB(1e999)\nlink = X1\n", "process"),
+        ("[X]\nclass0 = B\nclass1 = B + t\nprio = 0.9\n", "prio"),
+        ("[X]\ntype = logistic\nprocess = B\nlink = X1\nclass0 = B\n", "class0"),
+        ("[X]\nclass0 = B\nclass1 = B + t\nlink = X1\n", "link"),
+        ("[X]\ntype = logistic\nprocess = B\nlink = X30 + X60\nreference_count = 50\n", "link"),
+        ("[X]\nclass0 = B + rslope(1e999)\nclass1 = B\n", "class0"),
     ],
     ids=["no-class1", "no-process", "weight-1/0", "prior-1/0", "prior-1.5", "reference-abc", "level-overflow",
          "relevant-abc", "process-negated", "process-coefficient", "process-unit-coefficient",
-         "unclosed-parenthesis", "unopened-parenthesis", "ou-theta-inf", "ou-sigma2-inf", "sb-inf"],
+         "unclosed-parenthesis", "unopened-parenthesis", "ou-theta-inf", "ou-sigma2-inf", "sb-inf",
+         "gaussian-prio", "logistic-class0", "gaussian-link", "link-index-outside", "rslope-inf"],
 )
 def test_cli_simulate_with_a_malformed_catalog_is_a_parse_error(tmp_path, capsys, catalog, key):
     path = tmp_path / "bad.catalog"
@@ -566,6 +572,32 @@ def test_cli_eigen(capsys):
     assert len(lines) == 4
     theta1 = float(lines[1].split(",")[1])
     assert theta1 == pytest.approx(4 / np.pi**2, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "models, hist",
+    [("G2 NOPE", []), ("G2", ["--hist-model", "NOPE"])],
+    ids=["plan-model", "hist-model"],
+)
+def test_cli_bench_with_an_unknown_model_id_is_a_parse_error_that_writes_nothing(models, hist, tmp_path, capsys):
+    plan = tmp_path / "plan.ini"
+    plan.write_text(f"[plan]\nmodels = {models}\nsizes = 30\nruns = 1\nmethods = kNN\n")
+    report, histogram = tmp_path / "report.csv", tmp_path / "hist.csv"
+    argv = ["bench", "--plan", str(plan), "--out", str(report), *hist, "--hist-out", str(histogram)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines()[-1] == "error_code=parse-error"
+    assert "NOPE" in captured.err
+    assert not report.exists() and not histogram.exists()
+
+
+def test_cli_simulate_with_an_unknown_model_id_is_a_parse_error(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--model", "NOPE", "--n", "4", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines()[-1] == "error_code=parse-error"
+    assert "NOPE" in captured.err
+    assert not out.exists()
 
 
 def test_cli_bench_with_histogram(tmp_path):
