@@ -32,7 +32,6 @@ from .kernels import (
 )
 from .rkhs import (
     FiniteExpansionMean,
-    alphas_from_mean,
     bayes_discriminant,
     bayes_error,
     finite_expansion_from_values,
@@ -49,7 +48,6 @@ from .classify import (
     CentroidClassifier,
     KNNClassifier,
     RKCClassifier,
-    classify,
     classify_batch,
     error_rate,
     train_centroid,

@@ -61,7 +61,6 @@ import numpy as np
 # error_rate, train_knn and train_rkc are unused here but stay importable
 # from this module, where perfbench/tracing.py wraps them.
 from .classify import (  # noqa: F401
-    _is_integer,
     centroid_classifiers,
     centroid_decisions,
     error_rate,
@@ -70,7 +69,7 @@ from .classify import (  # noqa: F401
     train_knn,
     train_rkc,
 )
-from .core import GRID_SPACING_RTOL, Grid, TrainingError
+from .core import GRID_SPACING_RTOL, Grid, TrainingError, _check_both_classes, _is_integer
 from .kernels import BrownianKernel
 from .select import SelectionConfig, greedy_select, oracle_source_from_dataset
 from .simulate import ModelSpec, builtin_catalog, gen_model_dataset, standard_grid
@@ -89,6 +88,11 @@ __all__ = [
 METHODS = ("RK-C", "RK_B-C", "kNN", "Centroid")
 
 DEFAULT_K_GRID = tuple(range(1, 22, 2))
+
+
+# the integer fields of a plan, each with its least value; workers may be None
+_INTEGER_MINIMA = {"runs": 1, "test_size": 1, "validation_size": 1, "grid_count": 2, "d_max": 1,
+                   "centroid_r_max": 1, "seed": 0, "workers": 1}
 
 
 @dataclass(frozen=True)
@@ -113,29 +117,26 @@ class ExperimentPlan:
     workers: int | None = None
 
     def __post_init__(self):
-        if not all(map(_is_integer, self.k_grid)):
-            raise ValueError(f"k_grid must hold integers, got {' '.join(map(repr, self.k_grid))}")
         for name in ("models", "sizes", "methods", "k_grid"):
             values = getattr(self, name)
+            counted = name in ("sizes", "k_grid")
+            if counted and not all(map(_is_integer, values)):
+                raise ValueError(f"{name} must hold integers, got {' '.join(map(repr, values))}")
             if not values:
                 raise ValueError(f"{name} must not be empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat a value, got {' '.join(map(str, values))}")
-            if name in ("sizes", "k_grid") and min(values) < 1:
+            if counted and min(values) < 1:
                 raise ValueError(f"{name} values must each be at least 1")
-        if self.runs < 1 or self.test_size < 1 or self.validation_size < 1:
-            raise ValueError("runs, test and validation sizes must be positive")
-        if self.grid_count < 2:
-            raise ValueError("grid_count must be at least 2")
-        if self.seed < 0:
-            raise ValueError("seed must not be negative")
+        for name, low in _INTEGER_MINIMA.items():
+            value = getattr(self, name)
+            if name == "workers" and value is None:
+                continue
+            if not _is_integer(value) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
-        if self.d_max < 1 or self.centroid_r_max < 1:
-            raise ValueError("d_max and centroid_r_max must be at least 1")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -249,8 +250,7 @@ def _candidates(method: str, train, plan: ExperimentPlan):
         ds = range(1, len(selection) + 1)
         return ds, lambda curves, chosen: rkc_decisions(train, selection, curves)[chosen]
     if method == "kNN":
-        if train.labels.all() or not train.labels.any():  # labels are 0 or 1
-            raise TrainingError("both classes must be present")
+        _check_both_classes(train.labels)
         ks = [k for k in plan.k_grid if k <= train.size]
         if not ks:
             raise TrainingError("no admissible hyperparameter value")
@@ -275,11 +275,16 @@ def _apply_method(method: str, train, val, test, plan: ExperimentPlan):
     return float(test_acc), float(candidates[best])
 
 
+def _run_dataset(model: ModelSpec, size: int, grid: Grid, seed: int, n: int, run_idx: int, role: int):
+    """Dataset ``role`` (0 training, 1 validation, 2 test) of run ``run_idx`` of the (model, n) cell."""
+    # positional, by this module's name: perfbench wraps it and keys its digests by the tuple
+    return gen_model_dataset(model, size, grid, (seed, _model_entropy(model.id), n, run_idx, role))
+
+
 def _one_run(model: ModelSpec, n: int, run_idx: int, plan: ExperimentPlan, grid: Grid):
-    ent = _model_entropy(model.id)
-    train = gen_model_dataset(model, n, grid, (plan.seed, ent, n, run_idx, 0))
-    val = gen_model_dataset(model, plan.validation_size, grid, (plan.seed, ent, n, run_idx, 1))
-    test = gen_model_dataset(model, plan.test_size, grid, (plan.seed, ent, n, run_idx, 2))
+    train = _run_dataset(model, n, grid, plan.seed, n, run_idx, 0)
+    val = _run_dataset(model, plan.validation_size, grid, plan.seed, n, run_idx, 1)
+    test = _run_dataset(model, plan.test_size, grid, plan.seed, n, run_idx, 2)
     out = {}
     for method in plan.methods:
         try:
@@ -375,14 +380,13 @@ def variable_recovery_histogram(
         (model,) = resolve_models([model], catalog)
     grid = grid if grid is not None else standard_grid()
     relevant = tuple(getattr(model, "relevant", ()) or ())
-    ent = _model_entropy(model.id)
     counts = np.zeros(grid.count, dtype=int)
     matched = np.zeros(runs, dtype=int)
     tol = _MATCH_STEPS * grid.spacing * (1.0 + GRID_SPACING_RTOL)
     config = SelectionConfig(d_max=d)
     with _blas_pinned():
         for run_idx in range(runs):
-            train = gen_model_dataset(model, n, grid, (seed, ent, n, run_idx, 0))
+            train = _run_dataset(model, n, grid, seed, n, run_idx, 0)
             selection = greedy_select(train, config)
             counts[selection.indices] += 1
             if relevant:

@@ -42,7 +42,6 @@ for tests; under the continuous models a tie has probability zero.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -55,10 +54,13 @@ from .core import (
     LabeledDataset,
     SelectionResult,
     TrainingError,
+    _check_both_classes,
     _check_rows,
+    _check_same_grid,
     _check_training,
     _frozen_array,
     _gather_by_class,
+    _is_integer,
     class_prior,
 )
 # class_moments, pooled_cov, discretized_eigen, gram and solve_spd are unused
@@ -80,7 +82,6 @@ __all__ = [
     "train_centroid",
     "centroid_classifiers",
     "centroid_decisions",
-    "classify",
     "classify_batch",
     "error_rate",
 ]
@@ -234,11 +235,6 @@ _TINY = float(np.finfo(float).smallest_subnormal)
 # that its product, partial sort and vote stay in cache; 1 MiB ran faster
 # than 256 KiB and 2 MiB blocks on n = 1000.
 _BLOCK_BYTES = 1 << 20
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer; numpy's integer scalars count, bools do not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _cpus() -> int:
@@ -457,8 +453,7 @@ def _knn_decisions_exact(grid: Grid, train_curves, train_labels, curves, ks) -> 
 
 def train_knn(dataset: LabeledDataset, k: int) -> KNNClassifier:
     """Memorize the training sample for k-nearest-neighbour voting; k odd avoids ties."""
-    if dataset.labels.all() or not dataset.labels.any():  # labels are 0 or 1
-        raise TrainingError("both classes must be present")
+    _check_both_classes(dataset.labels)
     return KNNClassifier(
         grid=dataset.grid, train_curves=dataset.curves, train_labels=dataset.labels, k=k
     )
@@ -538,26 +533,17 @@ def train_centroid(dataset: LabeledDataset, r: int) -> CentroidClassifier:
     return centroid_classifiers(dataset, [r])[0]
 
 
-def _as_batch(classifier: TrainedClassifier, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+def classify_batch(classifier: TrainedClassifier, curves) -> np.ndarray:
+    """Labels of curves on the training grid, one per row; a 1-D ``curves`` is one curve."""
+    arr = np.asarray(curves, dtype=float)
     arr = arr[None, :] if arr.ndim == 1 else arr
     _check_rows(classifier.grid, arr, "query")
-    return arr
-
-
-def classify(classifier: TrainedClassifier, x) -> int:
-    """Label a single curve observed on the training grid."""
-    return int(classifier.decide(_as_batch(classifier, x))[0])
-
-
-def classify_batch(classifier: TrainedClassifier, curves) -> np.ndarray:
-    return classifier.decide(_as_batch(classifier, curves))
+    return classifier.decide(arr)
 
 
 def error_rate(classifier: TrainedClassifier, test: LabeledDataset) -> float:
     """Fraction of test curves whose predicted label differs from the truth."""
     if test.size == 0:
         raise ValueError("empty test set")
-    if classifier.grid is not test.grid and not classifier.grid.same_as(test.grid):
-        raise ValueError("test grid differs from the training grid")
+    _check_same_grid(classifier.grid, test.grid)
     return float(np.mean(classify_batch(classifier, test.curves) != test.labels))

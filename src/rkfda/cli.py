@@ -17,7 +17,7 @@ import numpy as np
 from . import io
 from .bench import resolve_models, run_experiment, variable_recovery_histogram
 from .classify import train_knn, train_rkc, train_centroid, classify_batch
-from .core import DatasetFormatError, RkfdaError, make_grid
+from .core import DatasetFormatError, RkfdaError, _check_same_grid, make_grid
 from .kernels import (
     BrownianBridgeKernel,
     BrownianKernel,
@@ -57,7 +57,14 @@ def _models(args, ids) -> dict:
         raise DatasetFormatError(str(exc)) from exc
 
 
+def _selection(args, dataset, kernel):
+    """Greedy selection with ``--d-max`` and ``--delta`` on ``kernel``'s Gram, or the pooled covariance."""
+    source = dataset if kernel is None else oracle_source_from_dataset(dataset, kernel)
+    return greedy_select(source, SelectionConfig(d_max=args.d_max, delta=args.delta))
+
+
 def _cmd_simulate(args) -> int:
+    io.check_output(args.out)
     model = _models(args, [args.model])[args.model]
     grid = standard_grid(args.grid_count)
     dataset = gen_model_dataset(model, args.n, grid, args.seed)
@@ -67,12 +74,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_select(args) -> int:
     dataset = io.read_dataset(args.data)
-    config = SelectionConfig(d_max=args.d_max, delta=args.delta)
-    if args.kernel:
-        source = oracle_source_from_dataset(dataset, _parse_kernel(args.kernel))
-    else:
-        source = dataset
-    result = greedy_select(source, config)
+    result = _selection(args, dataset, _parse_kernel(args.kernel) if args.kernel else None)
     print("rank,t,psi")
     for rank, (t, psi) in enumerate(zip(result.points, result.psi_trace), start=1):
         print(f"{rank},{format(t, '.12g')},{format(psi, '.12g')}")
@@ -80,17 +82,11 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    io.check_output(args.out)
     dataset = io.read_dataset(args.data, fixed_prior=args.prior)
     if args.method == "rkc":
         kernel = _parse_kernel(args.kernel) if args.kernel else None
-        if args.points:
-            points = args.points
-        elif args.d_max:
-            config = SelectionConfig(d_max=args.d_max, delta=args.delta)
-            source = oracle_source_from_dataset(dataset, kernel) if kernel else dataset
-            points = greedy_select(source, config).points
-        else:
-            raise DatasetFormatError("rkc training needs --points or --d-max")
+        points = args.points if args.points else _selection(args, dataset, kernel).points
         clf = train_rkc(dataset, points, kernel=kernel)
     elif args.method == "knn":
         clf = train_knn(dataset, args.k)
@@ -101,18 +97,17 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.out:
+        io.check_output(args.out)
     clf = io.read_classifier(args.model)
     dataset = io.read_dataset(args.data)
-    if not clf.grid.same_as(dataset.grid):
-        raise ValueError("test grid differs from the training grid")
+    _check_same_grid(clf.grid, dataset.grid)
     labels = classify_batch(clf, dataset.curves)
     lines = ["index,label"] + [f"{i},{y}" for i, y in enumerate(labels)]
-    text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        io.write_lines(args.out, lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
     print(f"error_rate {np.mean(labels != dataset.labels):.6f}", file=sys.stderr)
     return 0
 
@@ -120,15 +115,13 @@ def _cmd_predict(args) -> int:
 def _cmd_bayes(args) -> int:
     if args.norm is not None:
         norm = args.norm
-    elif args.points and args.alphas and args.kernel:
+    else:  # main has checked that --kernel, --points and --alphas are all given
         mean = FiniteExpansionMean(
             kernel=_parse_kernel(args.kernel),
             points=np.array(args.points),
             alphas=np.array(args.alphas),
         )
         norm = math.sqrt(rkhs_norm_sq(mean))
-    else:
-        raise DatasetFormatError("bayes needs --norm or (--kernel, --points, --alphas)")
     print(f"{bayes_error(norm, args.p):.6f}")
     return 0
 
@@ -145,11 +138,14 @@ def _cmd_eigen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    io.check_output(args.out)
+    if args.hist_model:
+        io.check_output(args.hist_out)
     plan = io.read_plan(args.plan)
     # every id is looked up before the first run, so an unknown one writes nothing
     models = _models(args, [*plan.models, *([args.hist_model] if args.hist_model else [])])
     report = run_experiment(plan, catalog=models)
-    io.write_report(report, args.out)
+    hist = None
     if args.hist_model:
         hist = variable_recovery_histogram(
             models[args.hist_model],
@@ -159,6 +155,8 @@ def _cmd_bench(args) -> int:
             grid=standard_grid(plan.grid_count),
             seed=plan.seed,
         )
+    io.write_report(report, args.out)
+    if hist is not None:
         io.write_histogram(hist, args.hist_out)
     return 0
 
@@ -299,9 +297,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "eigen" and not args.t_min < args.t_max:
         parser.error(f"argument --t-min: must be below --t-max, got {args.t_min:g} and {args.t_max:g}")
+    if args.command == "train" and args.method == "rkc" and not (args.points or args.d_max):
+        parser.error("train --method rkc needs --points or --d-max")
+    if args.command == "bayes" and args.norm is None and not (args.kernel and args.points and args.alphas):
+        parser.error("bayes needs --norm or all of --kernel, --points and --alphas")
     try:
         return args.func(args)
-    except DatasetFormatError as exc:
+    except (DatasetFormatError, OSError) as exc:
         print(f"{exc}", file=sys.stderr)
         print("error_code=parse-error")
         return PARSE_EXIT
@@ -309,10 +311,6 @@ def main(argv=None) -> int:
         print(f"{exc}", file=sys.stderr)
         print("error_code=numeric-failure")
         return NUMERIC_EXIT
-    except OSError as exc:
-        print(f"{exc}", file=sys.stderr)
-        print("error_code=parse-error")
-        return PARSE_EXIT
 
 
 if __name__ == "__main__":

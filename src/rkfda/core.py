@@ -9,6 +9,8 @@ both compute it, which is harmless because the values are equal.
 
 from __future__ import annotations
 
+import configparser
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -49,6 +51,17 @@ class TrainingError(RkfdaError, ValueError):
 
 class DatasetFormatError(RkfdaError):
     """A dataset / plan / model file violates its documented format."""
+
+
+def _parse_ini(text: str, name: str) -> configparser.ConfigParser:
+    """The INI reader of plans and catalogs: case-sensitive keys, ``#`` comments; bad syntax names ``name``."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    parser.optionxform = str
+    try:
+        parser.read_string(text, source=name)
+    except configparser.Error as exc:
+        raise DatasetFormatError(f"{name}: {exc}") from exc
+    return parser
 
 
 def _read_section(section, name: str, parsers: dict, required=()) -> dict:
@@ -123,10 +136,6 @@ class Grid:
     def spacing(self) -> float:
         return float(self.points[1] - self.points[0])
 
-    def index_of(self, t: float) -> int:
-        """Index of the grid point equal to ``t`` (within GRID_SPACING_RTOL of a step)."""
-        return int(self.indices_of([t])[0])
-
     def indices_of(self, times) -> np.ndarray:
         """Indices of the grid points equal to ``times`` (each within GRID_SPACING_RTOL of a step).
 
@@ -160,6 +169,11 @@ def make_grid(count: int, t_min: float = 0.0, t_max: float = 1.0) -> Grid:
     return Grid(np.linspace(t_min, t_max, count))
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer; numpy's integer scalars count, bools do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_finite(values) -> None:
     if not np.all(np.isfinite(values)):
         raise ValueError("curve values must be finite")
@@ -179,6 +193,18 @@ def _check_training(grid: Grid, curves: np.ndarray, labels: np.ndarray, role: st
         raise ValueError(f"{labels.size} {role} labels for {curves.shape[0]} {role} curves")
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError("labels must be 0 or 1")
+
+
+def _check_both_classes(labels: np.ndarray) -> None:
+    """Raise TrainingError unless the 0/1 ``labels`` hold both classes."""
+    if labels.all() or not labels.any():
+        raise TrainingError("both classes must be present")
+
+
+def _check_same_grid(grid: Grid, other: Grid) -> None:
+    """Raise ValueError unless ``other`` is ``grid``'s grid (``Grid.same_as``)."""
+    if other is not grid and not grid.same_as(other):
+        raise ValueError("test grid differs from the training grid")
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,10 +246,9 @@ class LabeledDataset:
         slices have the layout of ``class_curves(0)`` and ``class_curves(1)``,
         so the means and ``z`` equal the two-split formulas bit for bit.
         """
+        _check_both_classes(self.labels)
         z, n0 = _gather_by_class(self.curves, self.labels)
         n1 = z.shape[0] - n0
-        if n0 == 0 or n1 == 0:
-            raise TrainingError("both classes must be present")
         x0, x1 = z[:n0], z[n0:]
         m0, m1 = x0.mean(axis=0), x1.mean(axis=0)
         x0 -= m0

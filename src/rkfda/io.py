@@ -9,22 +9,27 @@ label and one curve value per grid point.  Times and values are written with
 enough digits for an exact float64 round trip.
 
 Classifier model files are versioned plain text with a format tag on the
-first line; each subsequent line is "key value...".  Reports and histograms
-are plain CSV so any plotting tool can consume them.
+first line; each subsequent line is "key value...".  A file holds only the
+keys its kind writes, each once, except a kNN file's one ``curve`` line per
+training curve.  Reports and histograms are plain CSV so any plotting tool
+can consume them.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
+import os
+from itertools import chain
 
 import numpy as np
 
-from .bench import ExperimentPlan, HistogramReport, RunReport
+from .bench import _INTEGER_MINIMA, ExperimentPlan, HistogramReport, RunReport
 from .classify import CentroidClassifier, KNNClassifier, RKCClassifier, TrainedClassifier
-from .core import DatasetFormatError, Grid, LabeledDataset, _read_section
+from .core import DatasetFormatError, Grid, LabeledDataset, _parse_ini, _read_section
 
 __all__ = [
+    "check_output",
+    "write_lines",
     "read_dataset",
     "write_dataset",
     "read_classifier",
@@ -36,6 +41,30 @@ __all__ = [
 
 REPORT_HEADER = "model,n,method,runs,mean_accuracy,sd_accuracy,mean_d,failed_runs"
 MODEL_FORMAT_TAG = "rkfda-model v1"
+KNN_METRIC = "sqrt-dt-euclidean"
+
+# the keys write_classifier writes for each kind; only "curve" repeats
+_MODEL_KEYS = {
+    "rkc": {"grid", "kind", "points", "alphas", "midpoint", "log_prior_odds"},
+    "knn": {"grid", "kind", "k", "metric", "labels", "curve"},
+    "centroid": {"grid", "kind", "order", "psi", "proj0", "proj1"},
+}
+
+
+def check_output(path) -> None:
+    """Raise OSError unless ``path`` is not a directory and its directory exists and is writable."""
+    path = os.fspath(path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output {path!r} is a directory")
+    directory = os.path.dirname(path) or "."
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise OSError(f"output directory {directory!r} is missing or not writable")
+
+
+def write_lines(path, lines) -> None:
+    """Write each of ``lines`` and a Unix line end to ``path`` as UTF-8; every output file is written here."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _fmt(x: float) -> str:
@@ -43,11 +72,9 @@ def _fmt(x: float) -> str:
 
 
 def write_dataset(dataset: LabeledDataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = ",".join(["label"] + [f"t_{float(t)!r}" for t in dataset.grid.points])
-        fh.write(header + "\n")
-        for label, row in zip(dataset.labels, dataset.curves):
-            fh.write(str(int(label)) + "," + ",".join(_fmt(v) for v in row) + "\n")
+    header = ",".join(["label"] + [f"t_{float(t)!r}" for t in dataset.grid.points])
+    rows = (f"{int(label)}," + ",".join(map(_fmt, row)) for label, row in zip(dataset.labels, dataset.curves))
+    write_lines(path, chain([header], rows))
 
 
 def read_dataset(path, fixed_prior: float | None = None) -> LabeledDataset:
@@ -102,35 +129,25 @@ def read_dataset(path, fixed_prior: float | None = None) -> LabeledDataset:
     )
 
 
-def _write_vector(fh, key: str, values) -> None:
-    fh.write(key + " " + " ".join(_fmt(v) for v in np.atleast_1d(values)) + "\n")
+def _vector(key: str, values) -> str:
+    return key + " " + " ".join(_fmt(v) for v in np.atleast_1d(values))
 
 
 def write_classifier(classifier: TrainedClassifier, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(MODEL_FORMAT_TAG + "\n")
-        _write_vector(fh, "grid", classifier.grid.points)
-        if isinstance(classifier, RKCClassifier):
-            fh.write("kind rkc\n")
-            _write_vector(fh, "points", classifier.points)
-            _write_vector(fh, "alphas", classifier.alphas)
-            _write_vector(fh, "midpoint", classifier.midpoint)
-            fh.write(f"log_prior_odds {_fmt(classifier.log_prior_odds)}\n")
-        elif isinstance(classifier, KNNClassifier):
-            fh.write("kind knn\n")
-            fh.write(f"k {classifier.k}\n")
-            fh.write("metric sqrt-dt-euclidean\n")
-            _write_vector(fh, "labels", classifier.train_labels)
-            for row in classifier.train_curves:
-                _write_vector(fh, "curve", row)
-        elif isinstance(classifier, CentroidClassifier):
-            fh.write("kind centroid\n")
-            fh.write(f"order {classifier.order}\n")
-            _write_vector(fh, "psi", classifier.psi_curve)
-            fh.write(f"proj0 {_fmt(classifier.proj0)}\n")
-            fh.write(f"proj1 {_fmt(classifier.proj1)}\n")
-        else:
-            raise TypeError(f"cannot persist {type(classifier).__name__}")
+    c = classifier
+    lines = [MODEL_FORMAT_TAG, _vector("grid", c.grid.points)]
+    if isinstance(c, RKCClassifier):
+        lines += ["kind rkc", _vector("points", c.points), _vector("alphas", c.alphas)]
+        lines += [_vector("midpoint", c.midpoint), _vector("log_prior_odds", c.log_prior_odds)]
+    elif isinstance(c, KNNClassifier):
+        lines += ["kind knn", f"k {c.k}", f"metric {KNN_METRIC}", _vector("labels", c.train_labels)]
+        lines += [_vector("curve", row) for row in c.train_curves]
+    elif isinstance(c, CentroidClassifier):
+        lines += ["kind centroid", f"order {c.order}", _vector("psi", c.psi_curve)]
+        lines += [_vector("proj0", c.proj0), _vector("proj1", c.proj1)]
+    else:
+        raise TypeError(f"cannot persist {type(c).__name__}")
+    write_lines(path, lines)
 
 
 def read_classifier(path) -> TrainedClassifier:
@@ -146,11 +163,18 @@ def read_classifier(path) -> TrainedClassifier:
         key, _, rest = line.partition(" ")
         if key == "curve":
             curves.append([float(v) for v in rest.split()])
+        elif key in fields:
+            raise DatasetFormatError(f"{path}: repeated key {key!r}")
         else:
             fields[key] = rest.split()
     try:
         grid = Grid(np.array([float(v) for v in fields["grid"]]))
         kind = fields["kind"][0]
+        if kind not in _MODEL_KEYS:
+            raise DatasetFormatError(f"{path}: unknown classifier kind {kind!r}")
+        unknown = sorted({*fields, *(["curve"] if curves else [])} - _MODEL_KEYS[kind])
+        if unknown:
+            raise DatasetFormatError(f"{path}: key(s) {', '.join(map(repr, unknown))} not in a {kind} model")
         if kind == "rkc":
             points = np.array([float(v) for v in fields["points"]])
             return RKCClassifier(
@@ -161,21 +185,21 @@ def read_classifier(path) -> TrainedClassifier:
                 log_prior_odds=float(fields["log_prior_odds"][0]),
             )
         if kind == "knn":
+            if fields["metric"] != [KNN_METRIC]:
+                raise DatasetFormatError(f"{path}: metric {' '.join(fields['metric'])!r} is not {KNN_METRIC}")
             return KNNClassifier(
                 grid=grid,
                 train_curves=np.array(curves),
                 train_labels=np.array([int(v) for v in fields["labels"]]),
                 k=int(fields["k"][0]),
             )
-        if kind == "centroid":
-            return CentroidClassifier(
-                grid=grid,
-                psi_curve=np.array([float(v) for v in fields["psi"]]),
-                proj0=float(fields["proj0"][0]),
-                proj1=float(fields["proj1"][0]),
-                order=int(fields["order"][0]),
-            )
-        raise DatasetFormatError(f"{path}: unknown classifier kind {kind!r}")
+        return CentroidClassifier(
+            grid=grid,
+            psi_curve=np.array([float(v) for v in fields["psi"]]),
+            proj0=float(fields["proj0"][0]),
+            proj1=float(fields["proj1"][0]),
+            order=int(fields["order"][0]),
+        )
     except (KeyError, ValueError, IndexError) as exc:
         raise DatasetFormatError(f"{path}: malformed model file ({exc})") from exc
 
@@ -186,19 +210,14 @@ _PLAN_KEYS = {
     "methods": lambda text: tuple(text.split()),
     "sizes": lambda text: tuple(map(int, text.split())),
     "k_grid": lambda text: tuple(map(int, text.split())),
-    **dict.fromkeys(["runs", "test_size", "validation_size", "grid_count", "d_max", "centroid_r_max"], int),
-    "seed": int, "workers": int,
+    **dict.fromkeys(_INTEGER_MINIMA, int),
 }
 
 
 def read_plan(path) -> ExperimentPlan:
     """Parse a plain-text experiment plan (INI, one [plan] section)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except (configparser.Error, OSError) as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        parser = _parse_ini(fh.read(), str(path))
     if not parser.has_section("plan"):
         raise DatasetFormatError(f"{path}: missing [plan] section")
     kwargs = _read_section(parser["plan"], f"{path}: [plan]", _PLAN_KEYS, required=("models", "sizes"))
@@ -209,18 +228,13 @@ def read_plan(path) -> ExperimentPlan:
 
 
 def write_report(report: RunReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(REPORT_HEADER + "\n")
-        for e in report.entries:
-            mean_d = "" if e.mean_param is None else format(e.mean_param, ".6g")
-            fh.write(
-                f"{e.model},{e.n},{e.method},{e.runs},"
-                f"{e.mean_accuracy:.6f},{e.sd_accuracy:.6f},{mean_d},{e.failed_runs}\n"
-            )
+    rows = (
+        f"{e.model},{e.n},{e.method},{e.runs},{e.mean_accuracy:.6f},{e.sd_accuracy:.6f},"
+        f"{'' if e.mean_param is None else format(e.mean_param, '.6g')},{e.failed_runs}"
+        for e in report.entries
+    )
+    write_lines(path, chain([REPORT_HEADER], rows))
 
 
 def write_histogram(hist: HistogramReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,count\n")
-        for t, c in zip(hist.grid.points, hist.counts):
-            fh.write(f"{float(t)!r},{c}\n")
+    write_lines(path, chain(["t,count"], (f"{float(t)!r},{c}" for t, c in zip(hist.grid.points, hist.counts))))

@@ -29,7 +29,6 @@ from .kernels import EigenSystem, KernelSpec, _require_distinct_points, gram, so
 __all__ = [
     "FiniteExpansionMean",
     "finite_expansion_from_values",
-    "alphas_from_mean",
     "rkhs_norm_sq",
     "bayes_discriminant",
     "bayes_error",
@@ -66,29 +65,17 @@ class FiniteExpansionMean:
         tt = np.atleast_1d(np.asarray(t, dtype=float))
         return self.kernel.pairwise(tt, self.points) @ self.alphas
 
-    def gram(self) -> np.ndarray:
-        return gram(self.kernel, self.points)
-
-
-def alphas_from_mean(mean_vec, gram_matrix) -> np.ndarray:
-    """Expansion coefficients alpha solving K alpha = m at the chosen points.
-
-    Raises SingularMatrixError when K is numerically singular (see
-    :func:`~rkfda.kernels.solve_spd`).
-    """
-    return solve_spd(gram_matrix, np.asarray(mean_vec, dtype=float))
-
 
 def finite_expansion_from_values(kernel: KernelSpec, points, mean_values) -> FiniteExpansionMean:
-    """Expansion through the given (point, value) pairs of a mean difference."""
+    """Expansion through the (point, value) pairs of a mean difference: alpha = K^{-1} m by ``solve_spd``."""
     pts = np.asarray(points, dtype=float)
-    alphas = alphas_from_mean(mean_values, gram(kernel, pts))
+    alphas = solve_spd(gram(kernel, pts), np.asarray(mean_values, dtype=float))
     return FiniteExpansionMean(kernel=kernel, points=pts, alphas=alphas)
 
 
 def rkhs_norm_sq(mean: FiniteExpansionMean) -> float:
     """Squared kernel norm alpha^T K alpha of a finite expansion."""
-    k = mean.gram()
+    k = gram(mean.kernel, mean.points)
     return max(float(mean.alphas @ k @ mean.alphas), 0.0)
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GRID_SPACING_RTOL, Grid, LabeledDataset, SelectionResult, TrainingError
+from .core import GRID_SPACING_RTOL, Grid, LabeledDataset, SelectionResult, TrainingError, _is_integer
 # class_moments, pooled_cov, gram and mahalanobis_psi are unused here but stay
 # importable from this module, where perfbench/tracing.py wraps them.
 from .estimate import class_moments, pooled_cov  # noqa: F401
@@ -73,8 +73,8 @@ class SelectionConfig:
     candidate_mask: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.d_max < 1:
-            raise ValueError("d_max must be at least 1")
+        if not _is_integer(self.d_max) or self.d_max < 1:
+            raise ValueError(f"d_max must be an integer of at least 1, got {self.d_max!r}")
         if self.delta is not None and not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
 
@@ -94,10 +94,7 @@ class OracleSource:
 
 
 def oracle_source(kernel: KernelSpec, grid: Grid, mean_diff) -> OracleSource:
-    if callable(mean_diff):
-        values = np.asarray([mean_diff(t) for t in grid.points], dtype=float)
-    else:
-        values = np.asarray(mean_diff, dtype=float)
+    values = np.asarray(mean_diff, dtype=float)
     if values.shape != (grid.count,):
         raise ValueError("mean_diff must provide one value per grid point")
     return OracleSource(kernel=kernel, grid=grid, mean_diff=values)

@@ -49,7 +49,6 @@ signed-term reader, which applies a term's optional ``c *`` coefficient.
 
 from __future__ import annotations
 
-import configparser
 import functools
 import math
 import re
@@ -60,7 +59,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import DatasetFormatError, Grid, LabeledDataset, _read_section, make_grid
+from .core import DatasetFormatError, Grid, LabeledDataset, _parse_ini, _read_section, make_grid
 from .kernels import (
     _BRIDGE_END_SLACK,
     BrownianBridgeKernel,
@@ -692,21 +691,20 @@ def _signed_terms(text: str) -> list[tuple[float, str]]:
     return terms
 
 
+# the process tokens that take no parameters
+_PROCESS_TOKENS = {
+    "B": BrownianKernel(), "BB": BrownianBridgeKernel(), "OU": OrnsteinUhlenbeckKernel(),
+    "sB": SmoothedBrownian(bandwidth=0.05), "ssB": SmoothedBrownian(bandwidth=0.10),
+}
+
+
 def _parse_process(token: str) -> ProcessSpec:
     token = token.strip()
-    if token == "B":
-        return BrownianKernel()
-    if token == "BB":
-        return BrownianBridgeKernel()
-    if token == "OU":
-        return OrnsteinUhlenbeckKernel()
+    if token in _PROCESS_TOKENS:
+        return _PROCESS_TOKENS[token]
     m = re.fullmatch(rf"OU\(\s*({_NUM})\s*,\s*({_NUM})\s*\)", token)
     if m:
         return OrnsteinUhlenbeckKernel(theta=float(m.group(1)), sigma2=float(m.group(2)))
-    if token == "sB":
-        return SmoothedBrownian(bandwidth=0.05)
-    if token == "ssB":
-        return SmoothedBrownian(bandwidth=0.10)
     m = re.fullmatch(rf"sB\(\s*({_NUM})\s*\)", token)
     if m:
         return SmoothedBrownian(bandwidth=float(m.group(1)))
@@ -809,12 +807,7 @@ def parse_catalog(text: str) -> dict[str, ModelSpec]:
     reference grid) each raise DatasetFormatError naming the model and the
     key.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
-    parser.optionxform = str
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise DatasetFormatError(f"bad catalog syntax: {exc}") from exc
+    parser = _parse_ini(text, "catalog")
     models: dict[str, ModelSpec] = {}
     for model_id in parser.sections():
         section = parser[model_id]
@@ -847,12 +840,7 @@ def load_catalog(path=None) -> dict[str, ModelSpec]:
     return parse_catalog(text)
 
 
-_BUILTIN: dict[str, ModelSpec] | None = None
-
-
+@functools.cache
 def builtin_catalog() -> dict[str, ModelSpec]:
     """The shipped catalog, loaded once per process."""
-    global _BUILTIN
-    if _BUILTIN is None:
-        _BUILTIN = load_catalog()
-    return _BUILTIN
+    return load_catalog()

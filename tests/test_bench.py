@@ -87,7 +87,7 @@ def test_histogram_single_informative_point():
         )
     }
     hist = variable_recovery_histogram("ONE", n=500, runs=50, d=1, grid=grid, seed=2, catalog=catalog)
-    idx = grid.index_of(0.5)
+    (idx,) = grid.indices_of([0.5])
     assert hist.counts[idx] == 50
     assert hist.counts.sum() == 50
     assert hist.match_fraction(1) == 1.0
@@ -383,6 +383,20 @@ def test_plan_rejects_bad_hyperparameters(bad):
         ExperimentPlan(**{"models": ("G2",), "sizes": (30,), **bad})
 
 
+_PLAN_INTEGER_FIELDS = [
+    "runs", "test_size", "validation_size", "grid_count", "d_max", "centroid_r_max", "seed", "workers",
+]
+
+
+@pytest.mark.parametrize("value", [2.5, True, 30.0], ids=["float", "bool", "integral-float"])
+@pytest.mark.parametrize("field", ["sizes", *_PLAN_INTEGER_FIELDS])
+def test_plan_rejects_a_non_integer_field_by_name(field, value):
+    fields = {"models": ("G2",), "sizes": (30,), field: (value,) if field == "sizes" else value}
+    must = "must hold integers" if field == "sizes" else "must be an integer"
+    with pytest.raises(ValueError, match=f"{field} {must}"):
+        ExperimentPlan(**fields)
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -570,7 +584,6 @@ def test_rk_methods_score_the_test_set_without_refitting_or_solving(monkeypatch)
     def forbidden(*args, **kwargs):
         raise AssertionError("the RK methods refit or solved")
 
-    # by module path: the package's own ``rkfda.classify`` is the classify function
     for path, name in (("rkfda.classify", "solve_spd"), ("rkfda.kernels", "solve_spd"), ("rkfda.bench", "train_rkc")):
         monkeypatch.setattr(importlib.import_module(path), name, forbidden)
     train, val, test = _samples("G4", 50, 100, 100, seed=27)

@@ -1,6 +1,7 @@
 import ast
 import collections
 import importlib
+import inspect
 import json
 import math
 import os
@@ -21,7 +22,6 @@ from rkfda import (
     RKCClassifier,
     TrainingError,
     bayes_error,
-    classify,
     classify_batch,
     discretized_eigen,
     error_rate,
@@ -94,8 +94,8 @@ def test_rkc_separable_threshold():
     rng = np.random.default_rng(1)
     ds, g = _separable(rng)
     clf = train_rkc(ds, [g.points[0]])
-    assert classify(clf, [9.0, 0.0]) == 1
-    assert classify(clf, [1.0, 0.0]) == 0
+    assert classify_batch(clf, [9.0, 0.0]).tolist() == [1]
+    assert classify_batch(clf, [1.0, 0.0]).tolist() == [0]
 
 
 def test_rkc_label_swap_flips_decisions():
@@ -136,8 +136,8 @@ def test_rkc_tie_goes_to_zero():
         midpoint=[0.5],
         log_prior_odds=0.0,
     )
-    assert classify(clf, [0.9, 0.0]) == 1
-    assert classify(clf, [0.5, 0.0]) == 0
+    assert classify_batch(clf, [0.9, 0.0]).tolist() == [1]
+    assert classify_batch(clf, [0.5, 0.0]).tolist() == [0]
 
 
 @pytest.mark.parametrize("fixed_prior", [0.5, 0.8, None])
@@ -260,7 +260,6 @@ def test_train_rkc_neither_estimates_nor_solves_a_second_covariance(monkeypatch)
     def forbidden(*args, **kwargs):
         raise AssertionError("train_rkc estimated or solved a second covariance")
 
-    # by module path: the package's own ``rkfda.classify`` is the classify function
     for path, name in (
         ("rkfda.classify", "solve_spd"),
         ("rkfda.kernels", "solve_spd"),
@@ -292,8 +291,8 @@ def test_knn_nearest_neighbour():
     g = make_grid(2, 0, 1)
     ds = _dataset([[0.0, 0.0]], [[1.0, 1.0]], grid=g)
     clf = train_knn(ds, k=1)
-    assert classify(clf, [0.9, 0.9]) == 1
-    assert classify(clf, [0.1, 0.1]) == 0
+    assert classify_batch(clf, [0.9, 0.9]).tolist() == [1]
+    assert classify_batch(clf, [0.1, 0.1]).tolist() == [0]
 
 
 def test_knn_k_equals_n_predicts_majority():
@@ -1073,7 +1072,7 @@ def test_query_curves_must_be_finite():
         knn_decisions(g, ds.curves, ds.labels, bad, [1])
     for clf in (train_knn(ds, 1), train_rkc(ds, g.points[:1]), train_centroid(ds, 1)):
         with pytest.raises(ValueError, match="finite"):
-            classify(clf, [np.inf, 0.0])
+            classify_batch(clf, [np.inf, 0.0])
         with pytest.raises(ValueError, match="finite"):
             classify_batch(clf, bad)
 
@@ -1105,8 +1104,8 @@ def test_centroid_r1_reduces_to_projection_sign():
     s = probes @ clf.psi_curve * g.spacing
     expected = (np.abs(s - clf.proj1) < np.abs(s - clf.proj0)).astype(int)
     np.testing.assert_array_equal(classify_batch(clf, probes), expected)
-    assert classify(clf, moments.m0) == 0
-    assert classify(clf, moments.m1) == 1
+    assert classify_batch(clf, moments.m0).tolist() == [0]
+    assert classify_batch(clf, moments.m1).tolist() == [1]
     assert clf.order == 1 and np.isfinite(mid)
 
 
@@ -1328,10 +1327,17 @@ def test_error_rate_rejects_grid_mismatch():
     with pytest.raises(ValueError):
         error_rate(clf, other)
     with pytest.raises(ValueError):
-        classify(clf, np.zeros(3))
+        classify_batch(clf, np.zeros(3))
     # same size, other times: still a mismatch; equal times in another Grid object are accepted
     shifted = LabeledDataset(grid=make_grid(2, 0, 2), curves=np.zeros((2, 2)), labels=np.array([0, 1]))
     with pytest.raises(ValueError, match="grid"):
         error_rate(clf, shifted)
     equal = LabeledDataset(grid=make_grid(2, 0, 1), curves=np.ones((2, 2)), labels=np.array([0, 1]))
     assert error_rate(clf, equal) == 0.5
+
+
+def test_the_package_attribute_classify_is_the_module():
+    import rkfda
+
+    assert inspect.ismodule(rkfda.classify)
+    assert rkfda.classify is importlib.import_module("rkfda.classify")

@@ -185,6 +185,46 @@ def test_read_classifier_rejects_a_knn_file_whose_shapes_disagree(tmp_path, edit
         io.read_classifier(model)
 
 
+def _edited_model_file(tmp_path, method, edit):
+    """A model file trained by ``rkfda train --method method``, its lines passed through ``edit``."""
+    path, _ = _toy_file(tmp_path, n=20, grid_count=4)
+    model = tmp_path / f"{method}.txt"
+    extra = ["--points", "0.5"] if method == "rkc" else []
+    assert main(["train", "--data", str(path), "--method", method, *extra, "--out", str(model)]) == 0
+    model.write_text("\n".join(edit(model.read_text().splitlines())) + "\n")
+    return model, path
+
+
+def _replaced(key, line):
+    return lambda lines: [line if l.split(" ", 1)[0] == key else l for l in lines]
+
+
+@pytest.mark.parametrize(
+    "method, edit, match",
+    [
+        ("knn", lambda lines: [*lines, "bogus 1 2"], "'bogus' not in a knn model"),
+        ("knn", _replaced("metric", "metric cosine"), "metric 'cosine' is not sqrt-dt-euclidean"),
+        ("knn", _replaced("metric", "metric sqrt-dt-euclidean extra"), "is not sqrt-dt-euclidean"),
+        ("knn", lambda lines: [l for l in lines if not l.startswith("metric ")], r"malformed model file \('metric'\)"),
+        ("knn", lambda lines: [*lines, "k 1"], "repeated key 'k'"),
+        ("knn", lambda lines: [*lines, "order 2"], "'order' not in a knn model"),
+        ("rkc", lambda lines: [*lines, "curve 1 2 3 4"], "'curve' not in a rkc model"),
+        ("rkc", lambda lines: [*lines, lines[1]], "repeated key 'grid'"),
+        ("centroid", lambda lines: [*lines, "metric sqrt-dt-euclidean"], "'metric' not in a centroid model"),
+        ("centroid", lambda lines: [*lines, "Proj0 1"], "'Proj0' not in a centroid model"),
+    ],
+    ids=["knn-bogus", "knn-metric-cosine", "knn-metric-extra", "knn-no-metric", "knn-repeated-k",
+         "knn-order", "rkc-curve", "rkc-repeated-grid", "centroid-metric", "centroid-capitalized"],
+)
+def test_read_classifier_rejects_keys_the_kind_does_not_write(tmp_path, capsys, method, edit, match):
+    model, data = _edited_model_file(tmp_path, method, edit)
+    with pytest.raises(DatasetFormatError, match=match):
+        io.read_classifier(model)
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--data", str(data)]) == 3
+    assert capsys.readouterr().out.splitlines() == ["error_code=parse-error"]
+
+
 def test_cli_predict_with_a_non_finite_knn_curve_is_a_parse_error(tmp_path, capsys):
     model, data = _knn_file_with_a_bad_curve(tmp_path, "nan")
     capsys.readouterr()
@@ -426,7 +466,6 @@ def test_cli_predict_decides_once(tmp_path, capsys, monkeypatch, method, decisio
     train_path, ds = _toy_file(tmp_path, n=60, seed=6, name="train.csv", grid_count=20)
     model_path, pred = tmp_path / "m.txt", tmp_path / "pred.csv"
     assert main(["train", "--data", str(train_path), "--method", method, "--out", str(model_path)]) == 0
-    # by module path: the package's own ``rkfda.classify`` is the classify function
     classify_module = importlib.import_module("rkfda.classify")
     decide, calls = getattr(classify_module, decisions), []
 
@@ -442,11 +481,25 @@ def test_cli_predict_decides_once(tmp_path, capsys, monkeypatch, method, decisio
     assert capsys.readouterr().err == f"error_rate {np.mean(labels != ds.labels):.6f}\n"
 
 
-def test_cli_train_parse_failure_without_points(tmp_path, capsys):
-    path, _ = _toy_file(tmp_path)
-    code = main(["train", "--data", str(path), "--method", "rkc", "--out", str(tmp_path / "m.txt")])
-    assert code == 3
-    assert capsys.readouterr().out.strip().splitlines()[-1] == "error_code=parse-error"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--data", "missing.csv", "--method", "rkc", "--out", "m.txt"],
+        ["train", "--data", "missing.csv", "--method", "rkc", "--k", "3", "--out", "m.txt"],
+        ["bayes"],
+        ["bayes", "--kernel", "brownian", "--points", "0.5"],
+        ["bayes", "--points", "0.5", "--alphas", "1"],
+    ],
+    ids=["train-rkc-no-points", "train-rkc-k-only", "bayes-nothing", "bayes-no-alphas", "bayes-no-kernel"],
+)
+def test_cli_missing_option_combination_is_a_usage_error(argv, capsys):
+    # decided from the options alone: no file is read (missing.csv does not exist)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["error_code=usage-error"]
+    assert f"rkfda: error: {argv[0]}" in captured.err
 
 
 def test_cli_train_rkc_at_a_repeated_point_is_a_numeric_failure(tmp_path, capsys):
@@ -589,6 +642,88 @@ def test_cli_bench_with_an_unknown_model_id_is_a_parse_error_that_writes_nothing
     assert captured.out.strip().splitlines()[-1] == "error_code=parse-error"
     assert "NOPE" in captured.err
     assert not report.exists() and not histogram.exists()
+
+
+def test_cli_plan_keys_are_case_sensitive(tmp_path, capsys):
+    plan = tmp_path / "plan.ini"
+    plan.write_text("[plan]\nModels = G2\nsizes = 30\nruns = 1\nmethods = kNN\n")
+    with pytest.raises(DatasetFormatError, match="unknown key.*'Models'"):
+        io.read_plan(plan)
+    assert main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")]) == 3
+    assert capsys.readouterr().out.splitlines() == ["error_code=parse-error"]
+    assert not (tmp_path / "r.csv").exists()
+
+
+def _forbid(monkeypatch, target):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{target} ran before the outputs were checked")
+
+    module, _, name = target.rpartition(".")
+    monkeypatch.setattr(importlib.import_module(module), name, forbidden)
+
+
+_ONE_RUN_PLAN = "[plan]\nmodels = G2\nsizes = 30\nruns = 1\ntest_size = 20\nvalidation_size = 20\nmethods = kNN\n"
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [
+        lambda tmp: ["--out", str(tmp)],
+        lambda tmp: ["--out", str(tmp / "a-file" / "r.csv")],
+        lambda tmp: ["--out", str(tmp / "r.csv"), "--hist-model", "G2", "--hist-out", str(tmp / "missing" / "h.csv")],
+        lambda tmp: ["--out", str(tmp / "r.csv"), "--hist-model", "G2", "--hist-out", str(tmp)],
+    ],
+    ids=["out-a-directory", "out-under-a-file", "hist-out-in-a-missing-directory", "hist-out-a-directory"],
+)
+def test_cli_bench_checks_every_output_before_the_first_run(tmp_path, capsys, monkeypatch, outputs):
+    plan = tmp_path / "plan.ini"
+    plan.write_text(_ONE_RUN_PLAN)
+    (tmp_path / "a-file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    _forbid(monkeypatch, "rkfda.bench.gen_model_dataset")
+    assert main(["bench", "--plan", str(plan), *outputs(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["error_code=parse-error"]
+    assert "is a directory" in captured.err or "is missing or not writable" in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_cli_bench_writes_the_report_only_with_the_histogram(tmp_path, capsys, monkeypatch):
+    plan = tmp_path / "plan.ini"
+    plan.write_text(_ONE_RUN_PLAN)
+
+    def failing(*args, **kwargs):
+        raise OSError("the histogram failed")
+
+    monkeypatch.setattr(importlib.import_module("rkfda.cli"), "variable_recovery_histogram", failing)
+    report = tmp_path / "r.csv"
+    argv = ["bench", "--plan", str(plan), "--out", str(report), "--hist-model", "G2", "--hist-out", str(tmp_path / "h.csv")]
+    assert main(argv) == 3
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "command, first_work",
+    [
+        (["simulate", "--model", "G2", "--n", "4"], "rkfda.cli.gen_model_dataset"),
+        (["train", "--data", "{data}", "--method", "knn"], "rkfda.io.read_dataset"),
+        (["predict", "--model", "{model}", "--data", "{data}"], "rkfda.io.read_classifier"),
+    ],
+    ids=["simulate", "train", "predict"],
+)
+def test_cli_a_directory_as_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command, first_work):
+    data, _ = _toy_file(tmp_path, n=20, grid_count=4)
+    model = tmp_path / "m.txt"
+    assert main(["train", "--data", str(data), "--method", "knn", "--out", str(model)]) == 0
+    capsys.readouterr()
+    before = sorted(tmp_path.rglob("*"))
+    _forbid(monkeypatch, first_work)
+    argv = [a.format(data=data, model=model) for a in command]
+    assert main([*argv, "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["error_code=parse-error"]
+    assert f"output {str(tmp_path)!r} is a directory" in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_cli_simulate_with_an_unknown_model_id_is_a_parse_error(tmp_path, capsys):

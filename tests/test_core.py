@@ -44,9 +44,9 @@ def test_grid_spacing_uniform_within_tolerance():
 
 def test_index_of_rejects_off_grid_times():
     g = make_grid(5, 0, 1)
-    assert g.index_of(0.75) == 3
+    assert g.indices_of([0.75]).tolist() == [3]
     with pytest.raises(ValueError):
-        g.index_of(0.3)
+        g.indices_of([0.3])
 
 
 def _loop_indices_of(grid, times):
@@ -71,7 +71,7 @@ def test_indices_of_matches_the_per_point_loop(grid):
     got = grid.indices_of(times)
     assert got.dtype == expected.dtype
     np.testing.assert_array_equal(got, expected)
-    assert [grid.index_of(t) for t in times[:10]] == expected[:10].tolist()
+    assert [int(grid.indices_of([t])[0]) for t in times[:10]] == expected[:10].tolist()
     for off in (1.1e-9, 0.3, 0.5, -0.5):
         t = grid.points[idx[:3]] + off * grid.spacing
         with pytest.raises(ValueError):
@@ -86,7 +86,7 @@ def test_indices_of_names_the_first_bad_time(bad):
     with pytest.raises(ValueError, match=rf"time {bad!r} is not a grid point"):
         g.indices_of([0.25, bad, 0.4])
     with pytest.raises(ValueError, match=rf"time {bad!r} is not a grid point"):
-        g.index_of(bad)
+        g.indices_of(bad)
 
 
 def test_indices_of_empty_input():

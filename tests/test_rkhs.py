@@ -7,12 +7,12 @@ from rkfda import (
     BrownianKernel,
     FiniteExpansionMean,
     OrnsteinUhlenbeckKernel,
-    alphas_from_mean,
     bayes_discriminant,
     bayes_error,
     finite_expansion_from_values,
     gram,
     rkhs_norm_sq,
+    solve_spd,
     truncation_sequence,
 )
 from rkfda.rkhs import gaussian_cdf
@@ -21,11 +21,11 @@ from test_kernels import TOY_KNOTS, TOY_MEAN_AT_KNOTS
 
 
 def test_alphas_scalar():
-    np.testing.assert_allclose(alphas_from_mean([0.5], [[0.5]]), [1.0])
+    np.testing.assert_allclose(solve_spd([[0.5]], [0.5]), [1.0])
 
 
 def test_alphas_two_by_two():
-    a = alphas_from_mean([0.5, 1.0], [[0.5, 0.5], [0.5, 1.0]])
+    a = solve_spd([[0.5, 0.5], [0.5, 1.0]], [0.5, 1.0])
     np.testing.assert_allclose(a, [0.0, 1.0], atol=1e-12)
 
 
@@ -37,10 +37,10 @@ def test_alphas_round_trip():
         k = b @ b.T + 1e-3 * np.eye(d)
         alpha = rng.normal(size=d)
         m = k @ alpha
-        rec = alphas_from_mean(m, k)
+        rec = solve_spd(k, m)
         np.testing.assert_allclose(k @ rec, m, rtol=1e-8, atol=1e-10)
     np.testing.assert_allclose(
-        alphas_from_mean(k @ np.array([2.0, -3.0] + [0.0] * (d - 2)), k)[:2], [2.0, -3.0],
+        solve_spd(k, k @ np.array([2.0, -3.0] + [0.0] * (d - 2)))[:2], [2.0, -3.0],
         rtol=1e-7, atol=1e-9,
     )
 

@@ -88,6 +88,12 @@ def test_delta_must_be_positive_and_finite(delta):
         SelectionConfig(d_max=2, delta=delta)
 
 
+@pytest.mark.parametrize("d_max", [2.5, True, 3.0])
+def test_d_max_must_be_an_integer(d_max):
+    with pytest.raises(ValueError, match="d_max must be an integer"):
+        SelectionConfig(d_max=d_max)
+
+
 def test_delta_counts_grid_steps_on_an_offset_grid():
     # the times of t = 1e4 + j/199 round to as much as 3.6e-10 of a step closer
     # than the first step, yet adjacent points stay one step apart

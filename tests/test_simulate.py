@@ -174,7 +174,7 @@ def test_logistic_link_calibration():
     model = builtin_catalog()["L1-B"]
     grid = standard_grid(100)
     ds = gen_model_dataset(model, 20000, grid, 7)
-    col = grid.index_of(0.65)
+    (col,) = grid.indices_of([0.65])
     sel = np.abs(ds.curves[:, col]) < 0.05
     assert sel.sum() > 400
     assert ds.labels[sel].mean() == pytest.approx(0.5, abs=0.07)
